@@ -27,8 +27,7 @@ from ucyclic.selfdual import family_60_30_8
 def packed_rows(dim: int) -> tuple[list[int], int]:
     fd = factor_xn_minus_1(15, 1)
     gm = generator_matrix(family_60_30_8(fd)[0])
-    rows = [sum(c << i for i, c in enumerate(row)) for row in gm.rows]
-    return rows[:dim], gm.cols
+    return list(gm.packed[:dim]), gm.cols
 
 
 def run(kernel: str, rows, nbits: int, threads: int) -> tuple[dict, float]:

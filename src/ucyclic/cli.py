@@ -67,9 +67,6 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_TOOLARGE = 4
 
-LABEL_KINDS = ("u_pow", "u_f", "mixed_one", "mixed_two",
-               "two_gen", "two_gen_omega")
-
 
 # ---------------------------------------------------------------------------
 # wire format
@@ -107,7 +104,7 @@ def parse_label(ctx, obj) -> il.IdealLabel:
     if not isinstance(obj, dict):
         raise BadDescriptor(f"component must be an object, got {obj!r}")
     kind = obj.get("kind")
-    if kind not in LABEL_KINDS:
+    if kind not in il.KINDS:
         raise BadDescriptor(f"unknown ideal kind {kind!r}")
     params = {}
     for name in ("i", "t", "s"):
@@ -281,13 +278,6 @@ def _cmd_hull(args) -> int:
     return EXIT_OK
 
 
-def _pack_row(row, m: int) -> str:
-    v = 0
-    for i, c in enumerate(row):
-        v |= c << (m * i)
-    return _hex(v)
-
-
 def _gray_matrix(code: sd.CyclicCode) -> gr.GenMatrix:
     """Structured matrix for self-dual codes, row reduction otherwise."""
     if code.k == 2 and sd.is_self_dual(code):
@@ -320,7 +310,7 @@ def _cmd_gray(args) -> int:
         "length": gm.cols,
         "m": code.m,
         "rank": gm.rank(),
-        "rows": [_pack_row(row, code.m) for row in gm.rows],
+        "rows": [_hex(v) for v in gm.packed],
     })
     return EXIT_OK
 
@@ -357,10 +347,6 @@ class _Report:
         print(f"SKIP  {name}  ({why})")
 
 
-def _descriptor_gens(code: sd.CyclicCode):
-    return sd.to_ambient_generators(code)
-
-
 def _verify_ideal_census(rep, fd, k):
     for j in fd.component_indices():
         d = fd.degree(j)
@@ -384,7 +370,8 @@ def _verify_selfdual(rep, fd, k):
         return
     ok = all(
         orc.brute_is_selfdual(
-            orc.span_code(n, m, k, _descriptor_gens(c), fd.ctx.modulus),
+            orc.span_code(n, m, k, sd.to_ambient_generators(c),
+                          fd.ctx.modulus),
             fd.ctx.modulus)
         for c in codes)
     rep.check(ok, "selfdual-membership", f"{len(codes)} codes brute-checked")
@@ -413,9 +400,10 @@ def _verify_hull(rep, fd, k):
     checked = 0
     ok = True
     for c in codes:
-        dense = orc.span_code(n, m, k, _descriptor_gens(c), fd.ctx.modulus)
+        dense = orc.span_code(n, m, k, sd.to_ambient_generators(c),
+                              fd.ctx.modulus)
         brute = orc.brute_intersect(dense, orc.brute_dual(dense, fd.ctx.modulus))
-        mine = orc.span_code(n, m, k, _descriptor_gens(du.hull(c)),
+        mine = orc.span_code(n, m, k, sd.to_ambient_generators(du.hull(c)),
                              fd.ctx.modulus)
         if sorted(mine.basis) != sorted(brute.basis):
             ok = False
@@ -450,7 +438,8 @@ def _verify_selforth(rep, fd, k):
         return
     ok = all(
         orc.brute_is_selforthogonal(
-            orc.span_code(n, m, k, _descriptor_gens(c), fd.ctx.modulus),
+            orc.span_code(n, m, k, sd.to_ambient_generators(c),
+                          fd.ctx.modulus),
             fd.ctx.modulus)
         for c in codes)
     rep.check(ok, "selforth-membership", f"{len(codes)} codes brute-checked")

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import gf
-from .gf import (FieldCtx, Poly, P_ONE, poly_add, poly_degree, poly_divmod,
-                 poly_ext_gcd, poly_key, poly_mod, poly_mul, poly_mulmod,
-                 poly_trim, reciprocal)
+from .gf import (FieldCtx, Poly, P_ONE, P_X, poly_add, poly_degree,
+                 poly_divmod, poly_ext_gcd, poly_key, poly_mod, poly_mul,
+                 poly_mulmod, poly_powmod, poly_scale, poly_trim, reciprocal)
 
 
 def cyclotomic_cosets(n: int, q: int) -> list[tuple[int, ...]]:
@@ -147,6 +147,11 @@ class FactorData:
     (== j for self-reciprocal factors), ``delta[j]`` the field scalar with
     reciprocal(f_j) == delta_j * f_{mate[j]}, and ``idempotents[j]`` the CRT
     idempotent for the f_j^2 component of F_{2^m}[x]/(x^(2n)-1).
+
+    The per-factor constants below (``f_eps``, ``x_inv``, ``hat_basis``,
+    ``transport_basis``, ``theta1``) are derived on first use and kept on the
+    instance: every code built on this FactorData shares them, and nothing is
+    derived up front.
     """
 
     n: int
@@ -157,6 +162,8 @@ class FactorData:
     num_pairs: int        # count of reciprocal pairs
     delta: tuple[int, ...]
     idempotents: tuple[Poly, ...] = field(default=None)
+    _consts: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @property
     def r(self) -> int:
@@ -185,6 +192,49 @@ class FactorData:
         out[0] = 1
         out[-1] = 1
         return tuple(out)
+
+    def _once(self, name: str, j: int, derive):
+        key = (name, j)
+        if key not in self._consts:
+            self._consts[key] = derive()
+        return self._consts[key]
+
+    def f_eps(self, j: int) -> Poly:
+        """f_j * idempotent_j mod x^(2n) - 1."""
+        return self._once("f_eps", j, lambda: poly_mulmod(
+            self.ctx, self.factors[j], self.idempotents[j], self.modulus_2n()))
+
+    def x_inv(self, j: int) -> Poly:
+        """x^(-1) = x^(n-1) mod f_j (f_j divides x^n - 1)."""
+        return self._once("x_inv", j, lambda: poly_powmod(
+            self.ctx, P_X, self.n - 1, self.factors[j]))
+
+    def hat_basis(self, j: int) -> tuple[Poly, ...]:
+        """x^(-i) mod f_j for i < d_j: a(x^(-1)) = sum a_i x^(-i)."""
+        def derive():
+            f, xi = self.factors[j], self.x_inv(j)
+            out = [poly_mod(self.ctx, P_ONE, f)]
+            for _ in range(1, self.degree(j)):
+                out.append(poly_mulmod(self.ctx, out[-1], xi, f))
+            return tuple(out)
+        return self._once("hat_basis", j, derive)
+
+    def transport_basis(self, j: int) -> tuple[Poly, ...]:
+        """delta_j x^(-d_j - i) mod f_mate(j) for i < d_j; entry 0 is the
+        factor delta_j x^(-d_j) of omega', the rest carry hat along."""
+        def derive():
+            jm = self.mate(j)
+            f, xi = self.factors[jm], self.x_inv(jm)
+            fac = poly_scale(self.ctx, poly_powmod(
+                self.ctx, xi, self.degree(j), f), self.delta[j])
+            return tuple(poly_mulmod(self.ctx, fac, p, f)
+                         for p in self.hat_basis(jm))
+        return self._once("transport_basis", j, derive)
+
+    def theta1(self, j: int):
+        """Theta_{j,1} of a self-reciprocal component, as a ThetaSet."""
+        from .selfdual import theta_set  # selfdual builds on this module
+        return self._once("theta1", j, lambda: theta_set(self, j, 1))
 
 
 def factor_xn_minus_1(n: int, m: int, modulus: int | None = None) -> FactorData:

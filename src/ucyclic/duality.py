@@ -83,7 +83,7 @@ def _in_theta1(fd: FactorData, j: int, omega: tuple) -> bool:
     """Is the mixed-shape unit in the self-dual parameter set Theta_{j,1}?"""
     if j == 0:
         return True  # every nonzero scalar qualifies at the x-1 component
-    return omega in set(theta_set(fd, j, 1).members)
+    return omega in fd.theta1(j)
 
 
 def _hull_selfrec(fd: FactorData, j: int, lab: IdealLabel) -> IdealLabel:

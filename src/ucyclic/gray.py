@@ -20,11 +20,13 @@ updates; the m=1 path dispatches to :mod:`ucyclic._kernels`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ._kernels import weight_census
+from .duality import shape_k2
 from .errors import (DimensionTooLarge, MinDistOfTrivial, NotSelfDual,
                      UnsupportedK)
-from .gf import FieldCtx, P_ONE, P_ZERO, Poly, poly_add, poly_mul, poly_mulmod
+from .gf import FieldCtx, P_ZERO, Poly, f2x_mod, poly_add, poly_mulmod
 from .oracle import span_code
 from .selfdual import CyclicCode, is_self_dual, to_ambient_generators
 
@@ -39,52 +41,91 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# F_{2^m} row operations on symbol vectors
+# lane-packed rows over F_{2^m}
 # ---------------------------------------------------------------------------
+#
+# A row of symbols is one int with symbol i at bits [m*i, m*i + m) (the
+# layout of the ``gray`` CLI's hex rows).  Adding rows is one XOR; scaling by
+# a field constant c multiplies each bit plane (v >> t) & low, which holds one
+# 0/1 bit per lane, by the symbol c * y^t, so no product crosses a lane.
 
-def _row_add_scaled(ctx: FieldCtx, dst, src, c: int):
-    if c == 0:
-        return dst
+def _lane_low(m: int, ncols: int) -> int:
+    """The int with bit 0 of each of the ncols lanes set."""
+    return ((1 << (m * ncols)) - 1) // ((1 << m) - 1)
+
+
+_DIGITS = bytes.maketrans(bytes(range(32)), b"0123456789abcdefghijklmnopqrstuv")
+
+
+def _pack(m: int, row) -> int:
+    """Lane-pack a sequence of symbols."""
+    if m <= 5:  # one base-2^m digit per symbol, last symbol first
+        return int(bytes(row[::-1]).translate(_DIGITS) or b"0", 1 << m)
+    v = 0
+    for i, x in enumerate(row):
+        v |= x << (m * i)
+    return v
+
+
+def _unpack(m: int, v: int, ncols: int) -> tuple[int, ...]:
+    mask = (1 << m) - 1
+    return tuple((v >> (m * i)) & mask for i in range(ncols))
+
+
+def _scale(ctx: FieldCtx, v: int, c: int, low: int) -> int:
+    """c * v for a lane-packed row v."""
     if c == 1:
-        return tuple(x ^ y for x, y in zip(dst, src))
-    return tuple(x ^ ctx.mul(c, y) for x, y in zip(dst, src))
+        return v
+    out = 0
+    for t in range(ctx.m):
+        out ^= ((v >> t) & low) * ctx.mul(c, 1 << t)
+    return out
+
+
+def _reduce(ctx: FieldCtx, v: int, basis: dict[int, int], low: int) -> int:
+    """v minus its part in the span of an echelon basis, lowest lanes first;
+    0 iff v lies in that span."""
+    m, mask = ctx.m, ctx.order - 1
+    while v:
+        lane = ((v & -v).bit_length() - 1) // m
+        piv = basis.get(lane)
+        if piv is None:
+            return v
+        v ^= _scale(ctx, piv, (v >> (m * lane)) & mask, low)
+    return 0
+
+
+def _echelon(ctx: FieldCtx, packed, low: int) -> dict[int, int]:
+    """Echelon basis of the span: pivot lane -> row whose lowest nonzero
+    symbol is a 1 in that lane."""
+    m, mask = ctx.m, ctx.order - 1
+    basis: dict[int, int] = {}
+    for v in packed:
+        v = _reduce(ctx, v, basis, low)
+        if v:
+            lane = ((v & -v).bit_length() - 1) // m
+            basis[lane] = _scale(ctx, v, ctx.inv((v >> (m * lane)) & mask),
+                                 low)
+    return basis
 
 
 def rref_fq(ctx: FieldCtx, rows) -> tuple[list[tuple[int, ...]], list[int]]:
     """Reduced row echelon form over F_{2^m}; leftmost-pivot convention."""
-    mat = [tuple(r) for r in rows]
-    out: list[tuple[int, ...]] = []
-    pivots: list[int] = []
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        src = next((i for i, r in enumerate(mat) if r[c]), None)
-        if src is None:
-            continue
-        piv = mat.pop(src)
-        inv = ctx.inv(piv[c])
-        if inv != 1:
-            piv = tuple(ctx.mul(inv, x) for x in piv)
-        mat = [_row_add_scaled(ctx, r, piv, r[c]) for r in mat]
-        out = [_row_add_scaled(ctx, r, piv, r[c]) for r in out]
-        out.append(piv)
-        pivots.append(c)
-        if not mat:
-            break
-    return out, pivots
-
-
-def _reduce_row(ctx: FieldCtx, row, basis, pivots):
-    for piv, c in zip(basis, pivots):
-        row = _row_add_scaled(ctx, row, piv, row[c])
-    return row
-
-
-def _dot_fq(ctx: FieldCtx, a, b) -> int:
-    acc = 0
-    for x, y in zip(a, b):
-        if x and y:
-            acc ^= ctx.mul(x, y)
-    return acc
+    rows = list(rows)
+    if not rows:
+        return [], []
+    ncols, m, mask = len(rows[0]), ctx.m, ctx.order - 1
+    low = _lane_low(m, ncols)
+    basis = _echelon(ctx, [_pack(m, tuple(r)) for r in rows], low)
+    pivots = sorted(basis)
+    # back-substitute from the rightmost pivot, whose row is already reduced
+    for i in reversed(range(len(pivots))):
+        q = pivots[i]
+        for p in pivots[:i]:
+            c = (basis[p] >> (m * q)) & mask
+            if c:
+                basis[p] ^= _scale(ctx, basis[q], c, low)
+    return [_unpack(m, basis[p], ncols) for p in pivots], pivots
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +187,11 @@ def lee_distribution(code: CyclicCode) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class GenMatrix:
-    """A matrix over F_{2^m} with 4n columns, rows as symbol tuples."""
+    """A matrix over F_{2^m} with 4n columns, rows as symbol tuples.
+
+    ``packed`` is the lane-packed view of the rows, computed once; rank and
+    the structure checks work on it.
+    """
 
     ctx: FieldCtx = field(compare=False)
     n: int = 0
@@ -161,8 +206,15 @@ class GenMatrix:
     def cols(self) -> int:
         return 4 * self.n
 
+    @cached_property
+    def packed(self) -> tuple[int, ...]:
+        """The rows lane-packed: symbol i at bits [m*i, m*i + m)."""
+        m = self.ctx.m
+        return tuple(_pack(m, r) for r in self.rows)
+
     def rank(self) -> int:
-        return len(rref_fq(self.ctx, self.rows)[0])
+        low = _lane_low(self.ctx.m, self.cols)
+        return len(_echelon(self.ctx, self.packed, low))
 
 
 def circulant(a: Poly, s: int, n2: int) -> tuple[tuple[int, ...], ...]:
@@ -185,9 +237,25 @@ def _hblock(left: Poly, right: Poly, s: int, n2: int):
                                       circulant(right, s, n2))]
 
 
-def _shape(label) -> str:
-    from .duality import shape_k2
-    return shape_k2(label)
+# Blocks of the image of a component pair, keyed by the shapes (C_j, C_mate):
+# each block is d_j rows [left | right] of circulants, left and right one of
+# 0, E = eps, F = f eps or W = (1 + f w) eps, taken at j (side 0) or at the
+# mate (side 1).  A self-reciprocal component is its own mate and takes the
+# side-0 blocks of its (shape, shape) entry.
+_PAIR_BLOCKS = {
+    ("one", "zero"): (("0", "E", 0), ("E", "E", 0), ("0", "F", 0),
+                      ("F", "F", 0)),
+    ("zero", "one"): (("0", "E", 1), ("E", "E", 1), ("0", "F", 1),
+                      ("F", "F", 1)),
+    ("u", "u"): (("E", "E", 0), ("F", "F", 0), ("E", "E", 1), ("F", "F", 1)),
+    ("f", "f"): (("0", "F", 0), ("F", "F", 0), ("0", "F", 1), ("F", "F", 1)),
+    ("mixed", "mixed"): (("E", "W", 0), ("F", "F", 0), ("E", "W", 1),
+                         ("F", "F", 1)),
+    ("uf", "top"): (("F", "F", 0), ("E", "E", 1), ("F", "F", 1),
+                    ("0", "F", 1)),
+    ("top", "uf"): (("E", "E", 0), ("F", "F", 0), ("0", "F", 0),
+                    ("F", "F", 1)),
+}
 
 
 def generator_matrix(code: CyclicCode) -> GenMatrix:
@@ -203,72 +271,33 @@ def generator_matrix(code: CyclicCode) -> GenMatrix:
                           "use gray_image_matrix for arbitrary codes")
     fd = code.fd
     ctx = fd.ctx
-    mod = fd.modulus_2n()
     n2 = 2 * fd.n
 
-    def eps(j):
-        return fd.idempotents[j]
-
-    def feps(j):
-        return poly_mulmod(ctx, fd.factors[j], eps(j), mod)
-
-    def weps(j):
+    def poly(name: str, j: int) -> Poly:
+        if name == "0":
+            return P_ZERO
+        if name == "E":
+            return fd.idempotents[j]
+        if name == "F":
+            return fd.f_eps(j)
+        # W = (1 + f w) eps = eps + (f eps) w
         w = code.components[j].omega[0]
-        one_fw = poly_add(P_ONE, poly_mul(ctx, fd.factors[j], w))
-        return poly_mulmod(ctx, one_fw, eps(j), mod)
+        return poly_add(fd.idempotents[j],
+                        poly_mulmod(ctx, fd.f_eps(j), w, fd.modulus_2n()))
 
     rows: list[tuple[int, ...]] = []
-    for j in range(fd.num_selfrec):
-        d = fd.degree(j)
-        sh = _shape(code.components[j])
-        if sh == "u":
-            rows += _hblock(eps(j), eps(j), d, n2)
-        elif sh == "f":
-            rows += _hblock(P_ZERO, feps(j), d, n2)
-        else:  # mixed
-            rows += _hblock(eps(j), weps(j), d, n2)
-        rows += _hblock(feps(j), feps(j), d, n2)
-    for j in range(fd.num_selfrec, fd.num_selfrec + fd.num_pairs):
+    for j in fd.component_indices():
         jm = fd.mate(j)
+        shapes = (shape_k2(code.components[j]), shape_k2(code.components[jm]))
+        blocks = _PAIR_BLOCKS.get(shapes)
+        if blocks is None:  # unreachable behind the is_self_dual gate
+            raise NotSelfDual(f"pair shapes {shapes} have no self-dual block")
+        if jm == j:
+            blocks = [b for b in blocks if b[2] == 0]
         d = fd.degree(j)
-        pair = (_shape(code.components[j]), _shape(code.components[jm]))
-        if pair == ("one", "zero"):
-            rows += _hblock(P_ZERO, eps(j), d, n2)
-            rows += _hblock(eps(j), eps(j), d, n2)
-            rows += _hblock(P_ZERO, feps(j), d, n2)
-            rows += _hblock(feps(j), feps(j), d, n2)
-        elif pair == ("u", "u"):
-            rows += _hblock(eps(j), eps(j), d, n2)
-            rows += _hblock(feps(j), feps(j), d, n2)
-            rows += _hblock(eps(jm), eps(jm), d, n2)
-            rows += _hblock(feps(jm), feps(jm), d, n2)
-        elif pair == ("zero", "one"):
-            rows += _hblock(P_ZERO, eps(jm), d, n2)
-            rows += _hblock(eps(jm), eps(jm), d, n2)
-            rows += _hblock(P_ZERO, feps(jm), d, n2)
-            rows += _hblock(feps(jm), feps(jm), d, n2)
-        elif pair == ("f", "f"):
-            rows += _hblock(P_ZERO, feps(j), d, n2)
-            rows += _hblock(feps(j), feps(j), d, n2)
-            rows += _hblock(P_ZERO, feps(jm), d, n2)
-            rows += _hblock(feps(jm), feps(jm), d, n2)
-        elif pair == ("uf", "top"):
-            rows += _hblock(feps(j), feps(j), d, n2)
-            rows += _hblock(eps(jm), eps(jm), d, n2)
-            rows += _hblock(feps(jm), feps(jm), d, n2)
-            rows += _hblock(P_ZERO, feps(jm), d, n2)
-        elif pair == ("mixed", "mixed"):
-            rows += _hblock(eps(j), weps(j), d, n2)
-            rows += _hblock(feps(j), feps(j), d, n2)
-            rows += _hblock(eps(jm), weps(jm), d, n2)
-            rows += _hblock(feps(jm), feps(jm), d, n2)
-        elif pair == ("top", "uf"):
-            rows += _hblock(eps(j), eps(j), d, n2)
-            rows += _hblock(feps(j), feps(j), d, n2)
-            rows += _hblock(P_ZERO, feps(j), d, n2)
-            rows += _hblock(feps(jm), feps(jm), d, n2)
-        else:  # unreachable behind the is_self_dual gate
-            raise NotSelfDual(f"pair shapes {pair} have no self-dual block")
+        for left, right, side in blocks:
+            at = (j, jm)[side]
+            rows += _hblock(poly(left, at), poly(right, at), d, n2)
     gm = GenMatrix(ctx, fd.n, tuple(rows))
     assert len(rows) == n2
     return gm
@@ -294,30 +323,14 @@ def gray_image_matrix(code: CyclicCode) -> GenMatrix:
 # weights and structure checks
 # ---------------------------------------------------------------------------
 
-def _pack_bits(row) -> int:
-    v = 0
-    for c, x in enumerate(row):
-        if x:
-            v |= 1 << c
-    return v
-
-
-def _census_symbols(ctx: FieldCtx, rows, ncols: int) -> list[int]:
+def _census_symbols(ctx: FieldCtx, basis, ncols: int, low: int) -> list[int]:
     """Weight census over the F_{2^m}-span: nonzero-symbol counts."""
     m = ctx.m
-    packed = []
-    for row in rows:
-        for t in range(m):
-            c = ctx.pow(2, t) if m > 1 else 1  # {1, y, ..., y^(m-1)} F_2-basis
-            scaled = tuple(ctx.mul(c, x) for x in row)
-            v = 0
-            for i, x in enumerate(scaled):
-                v |= x << (i * m)
-            packed.append(v)
+    # the F_2-basis {y^t * row}: (1, y, ..., y^(m-1)) spans F_{2^m} over F_2
+    packed = [_scale(ctx, v, 1 << t, low) for v in basis for t in range(m)]
     dim = len(packed)
     if dim > MESSAGE_DIM_CAP:
         raise DimensionTooLarge(f"2^{dim} message walk rejected")
-    low = sum(1 << (i * m) for i in range(ncols))
     hist = [0] * (ncols + 1)
     v = 0
     hist[0] += 1
@@ -337,15 +350,15 @@ def weight_distribution(gm: GenMatrix, threads: int = 1,
     Walks all q^rank messages (Gray-code order, one row XOR per step).
     Rejects rank > 32 with DimensionTooLarge.
     """
-    rows, _ = rref_fq(gm.ctx, gm.rows)
-    if len(rows) > MESSAGE_DIM_CAP:
+    low = _lane_low(gm.ctx.m, gm.cols)
+    basis = list(_echelon(gm.ctx, gm.packed, low).values())
+    if len(basis) > MESSAGE_DIM_CAP:
         raise DimensionTooLarge(
-            f"rank {len(rows)} exceeds the exhaustive-walk cap {MESSAGE_DIM_CAP}")
+            f"rank {len(basis)} exceeds the exhaustive-walk cap {MESSAGE_DIM_CAP}")
     if gm.ctx.m == 1:
-        hist = weight_census([_pack_bits(r) for r in rows], gm.cols,
-                             threads=threads, force=force)
+        hist = weight_census(basis, gm.cols, threads=threads, force=force)
     else:
-        hist = _census_symbols(gm.ctx, rows, gm.cols)
+        hist = _census_symbols(gm.ctx, basis, gm.cols, low)
     return {w: c for w, c in enumerate(hist) if c}
 
 
@@ -363,18 +376,39 @@ def is_2_quasi_cyclic(gm: GenMatrix) -> bool:
     """Does the simultaneous cyclic shift of both halves fix the row space?"""
     if gm.cols % 2:
         raise ValueError("need an even number of columns")
-    h = gm.cols // 2
-    basis, pivots = rref_fq(gm.ctx, gm.rows)
-    for row in gm.rows:
-        left, right = row[:h], row[h:]
-        shifted = (left[-1],) + left[:-1] + (right[-1],) + right[:-1]
-        if any(_reduce_row(gm.ctx, shifted, basis, pivots)):
-            return False
-    return True
+    m = gm.ctx.m
+    hw = m * (gm.cols // 2)            # bits per half
+    half = (1 << hw) - 1
+    low = _lane_low(m, gm.cols)
+    basis = _echelon(gm.ctx, gm.packed, low)
+
+    def shift(x: int) -> int:          # symbol i -> i + 1, the last to 0
+        return ((x << m) & half) | (x >> (hw - m))
+
+    return not any(
+        _reduce(gm.ctx, shift(v & half) | (shift(v >> hw) << hw), basis, low)
+        for v in gm.packed)
 
 
 def gram_is_zero(gm: GenMatrix) -> bool:
-    """Is G * G^T the zero matrix over F_{2^m}?"""
-    rows = gm.rows
-    return all(_dot_fq(gm.ctx, rows[i], rows[j]) == 0
-               for i in range(len(rows)) for j in range(i, len(rows)))
+    """Is G * G^T the zero matrix over F_{2^m}?
+
+    Entry <a, b> is the F_2[y] polynomial sum over t, s of
+    parity(a_t & b_s) y^(t+s) on the bit planes a_t = (a >> t) & low, reduced
+    mod the field modulus.
+    """
+    rows = gm.packed
+    if gm.ctx.m == 1:
+        return all((a & b).bit_count() & 1 == 0
+                   for i, a in enumerate(rows) for b in rows[i:])
+    low, mod = _lane_low(gm.ctx.m, gm.cols), gm.ctx.modulus
+    planes = [[(v >> t) & low for t in range(gm.ctx.m)] for v in rows]
+    for i, pa in enumerate(planes):
+        for pb in planes[i:]:
+            acc = 0
+            for t, a in enumerate(pa):
+                for s, b in enumerate(pb):
+                    acc ^= ((a & b).bit_count() & 1) << (t + s)
+            if acc and f2x_mod(acc, mod):
+                return False
+    return True

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .gf import (FieldCtx, Poly, P_ONE, P_ZERO, poly_add, poly_degree,
                  poly_from_key, poly_key, poly_mod, poly_mul, poly_mulmod,
-                 poly_powmod)
+                 poly_powmod, poly_scale)
 
 
 class QuotRing:
@@ -160,24 +160,29 @@ def u_key(ctx: FieldCtx, a: UElem) -> tuple[int, ...]:
 
 def x_inverse(fd, j: int) -> Poly:
     """x^(-1) = x^(n-1) reduced mod f_j (valid since f_j divides x^n - 1)."""
-    ring = field_ring(fd, j)
-    return ring.pow((0, 1), fd.n - 1)
+    return fd.x_inv(j)
+
+
+def _combine(ctx: FieldCtx, basis, a: Poly) -> Poly:
+    """sum a_i * basis[i]: the linear map with those basis images at a."""
+    if len(a) > len(basis):
+        raise ValueError(f"{a} is not reduced mod the factor")
+    out = P_ZERO
+    for c, p in zip(a, basis):
+        if c:
+            out = poly_add(out, poly_scale(ctx, p, c))
+    return out
 
 
 def hat(fd, j_src: int, a: Poly, j_dst: int | None = None) -> Poly:
     """a(x^(-1)) reduced mod f_{j_dst} (default: the mate of j_src).
 
     For self-reciprocal factors this is an involution of F_{f}; for a pair it
-    carries F_{f_j} onto F_{f_mate}.
+    carries F_{f_j} onto F_{f_mate}.  ``a`` is reduced mod f_{j_src}.
     """
     if j_dst is None:
         j_dst = fd.mate(j_src)
-    ring = field_ring(fd, j_dst)
-    xi = x_inverse(fd, j_dst)
-    out = P_ZERO
-    for c in reversed(a):
-        out = poly_add(ring.mul(out, xi), (c,) if c else P_ZERO)
-    return out
+    return _combine(fd.ctx, fd.hat_basis(j_dst), a)
 
 
 def hat_u(fd, j_src: int, a: UElem, j_dst: int | None = None) -> UElem:
@@ -192,10 +197,5 @@ def omega_prime(fd, j: int, omega: UElem) -> UElem:
     in the k = 2 dual tables; for self-reciprocal factors the target is f_j
     itself.
     """
-    jm = fd.mate(j)
-    ring = field_ring(fd, jm)
-    d = fd.degree(j)
-    fac = ring.pow((0, 1), -d)
-    if fd.delta[j] != 1:
-        fac = ring.mul(fac, (fd.delta[j],))
-    return tuple(ring.mul(fac, hat(fd, j, x, jm)) for x in omega)
+    basis = fd.transport_basis(j)
+    return tuple(_combine(fd.ctx, basis, x) for x in omega)

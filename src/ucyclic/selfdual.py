@@ -93,6 +93,10 @@ class ThetaSet:
     j: int
     s: int
     members: tuple[qt.UElem, ...]
+    _lookup: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lookup", frozenset(self.members))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -101,7 +105,7 @@ class ThetaSet:
         return iter(self.members)
 
     def __contains__(self, w) -> bool:
-        return w in set(self.members)
+        return w in self._lookup
 
 
 def theta_level_one(fd: FactorData, j: int, rho: Poly | None = None) -> tuple[Poly, ...]:
@@ -159,10 +163,6 @@ def theta_set(fd: FactorData, j: int, s: int,
 # the dual-partner label (annihilator + reciprocal transport)
 # ---------------------------------------------------------------------------
 
-def _omega_prime(fd: FactorData, j: int, omega: qt.UElem) -> qt.UElem:
-    return qt.omega_prime(fd, j, omega)
-
-
 def mate_label(fd: FactorData, j: int, label: IdealLabel, k: int) -> IdealLabel:
     """Label of the dual ideal, living on component ``fd.mate(j)``.
 
@@ -173,7 +173,7 @@ def mate_label(fd: FactorData, j: int, label: IdealLabel, k: int) -> IdealLabel:
     """
     validate_label(label, k, fd.degree(j))
     kind, i, t, s, w = label.kind, label.i, label.t, label.s, label.omega
-    wp = _omega_prime(fd, j, w) if w is not None else None
+    wp = qt.omega_prime(fd, j, w) if w is not None else None
     if kind == "u_pow":
         return IdealLabel("u_pow", i=k - i)
     if kind == "u_f":
@@ -346,7 +346,7 @@ def _k2_pairs(fd, j):
     for w in ring.elements():
         if w == P_ZERO:
             continue
-        wp = _omega_prime(fd, j, (w,))
+        wp = qt.omega_prime(fd, j, (w,))
         yield (_lab("mixed_one", i=1, t=0, omega=(w,)),
                _lab("mixed_one", i=1, t=0, omega=wp))
 
@@ -367,7 +367,7 @@ def _k3_pairs(fd, j):
     ring = qt.field_ring(fd, j)
     nz = [w for w in ring.elements() if w != P_ZERO]
     for w in nz:
-        wp = _omega_prime(fd, j, (w,))
+        wp = qt.omega_prime(fd, j, (w,))
         yield (_lab("mixed_one", i=1, t=0, omega=(w,)),
                _lab("mixed_one", i=2, t=1, omega=wp))
         yield (_lab("mixed_one", i=2, t=1, omega=(w,)),
@@ -405,17 +405,17 @@ def _k4_pairs(fd, j):
     nz = [w for w in ring.elements() if w != P_ZERO]
     for i in (1, 2, 3):
         for w in nz:
-            wp = _omega_prime(fd, j, (w,))
+            wp = qt.omega_prime(fd, j, (w,))
             yield (_lab("mixed_one", i=i, t=i - 1, omega=(w,)),
                    _lab("mixed_one", i=4 - i, t=3 - i, omega=wp))
     for a0 in nz:
         for a1 in ring.elements():
             th = (a0, a1)
-            thp = _omega_prime(fd, j, th)
+            thp = qt.omega_prime(fd, j, th)
             yield (_lab("mixed_one", i=2, t=0, omega=th),
                    _lab("mixed_one", i=2, t=0, omega=thp))
     for w in nz:
-        wp = _omega_prime(fd, j, (w,))
+        wp = qt.omega_prime(fd, j, (w,))
         yield (_lab("mixed_two", i=3, t=0, omega=(w,)),
                _lab("mixed_two", i=3, t=0, omega=wp))
         yield (_lab("mixed_two", i=3, t=1, omega=(w,)),
@@ -453,13 +453,13 @@ def _k5_pairs(fd, j):
     nz = [w for w in ring.elements() if w != P_ZERO]
     for i in (1, 2, 3, 4):
         for w in nz:
-            wp = _omega_prime(fd, j, (w,))
+            wp = qt.omega_prime(fd, j, (w,))
             yield (_lab("mixed_one", i=i, t=i - 1, omega=(w,)),
                    _lab("mixed_one", i=5 - i, t=4 - i, omega=wp))
     for a0 in nz:
         for a1 in ring.elements():
             th = (a0, a1)
-            thp = _omega_prime(fd, j, th)
+            thp = qt.omega_prime(fd, j, th)
             yield (_lab("mixed_one", i=2, t=0, omega=th),
                    _lab("mixed_one", i=3, t=1, omega=thp))
             yield (_lab("mixed_one", i=3, t=1, omega=th),
@@ -467,7 +467,7 @@ def _k5_pairs(fd, j):
             yield (_lab("mixed_two", i=3, t=0, omega=th),
                    _lab("mixed_two", i=3, t=0, omega=thp))
     for w in nz:
-        wp = _omega_prime(fd, j, (w,))
+        wp = qt.omega_prime(fd, j, (w,))
         yield (_lab("mixed_two", i=4, t=0, omega=(w,)),
                _lab("mixed_two", i=4, t=0, omega=wp))
         yield (_lab("mixed_two", i=4, t=1, omega=(w,)),

@@ -8,7 +8,7 @@ import pytest
 from ucyclic import duality as du
 from ucyclic.errors import (DimensionTooLarge, MinDistOfTrivial, NotSelfDual,
                             UnsupportedK)
-from ucyclic.gf import FieldCtx, P_ONE
+from ucyclic.gf import FieldCtx, P_ONE, f2x_is_irreducible
 from ucyclic.gray import (GenMatrix, circulant, generator_matrix,
                           gray_image_matrix, gray_map, gray_map_packed,
                           gram_is_zero, is_2_quasi_cyclic, lee_distribution,
@@ -194,3 +194,152 @@ def test_k2_only_surface(fdata):
         gray_image_matrix(code)
     with pytest.raises(UnsupportedK):
         lee_distribution(code)
+
+
+# ---------------------------------------------------------------------------
+# lane-packed row routines against the symbol-tuple reference
+# ---------------------------------------------------------------------------
+#
+# The reference is the elimination and dot product on tuples of field
+# symbols that the packed routines replaced; it stays here as the oracle.
+
+def _ref_add_scaled(ctx, dst, src, c):
+    return tuple(x ^ ctx.mul(c, y) for x, y in zip(dst, src))
+
+
+def _ref_rref(ctx, rows):
+    mat = [tuple(r) for r in rows]
+    out, pivots = [], []
+    for c in range(len(mat[0]) if mat else 0):
+        src = next((i for i, r in enumerate(mat) if r[c]), None)
+        if src is None:
+            continue
+        piv = mat.pop(src)
+        inv = ctx.inv(piv[c])
+        piv = tuple(ctx.mul(inv, x) for x in piv)
+        mat = [_ref_add_scaled(ctx, r, piv, r[c]) for r in mat]
+        out = [_ref_add_scaled(ctx, r, piv, r[c]) for r in out]
+        out.append(piv)
+        pivots.append(c)
+    return out, pivots
+
+
+def _ref_gram_is_zero(ctx, rows):
+    def dot(a, b):
+        acc = 0
+        for x, y in zip(a, b):
+            acc ^= ctx.mul(x, y)
+        return acc
+    return all(dot(a, b) == 0 for i, a in enumerate(rows) for b in rows[i:])
+
+
+def _ref_quasi_cyclic(ctx, rows):
+    basis, pivots = _ref_rref(ctx, rows)
+    h = len(rows[0]) // 2
+    for row in rows:
+        left, right = row[:h], row[h:]
+        v = (left[-1],) + left[:-1] + (right[-1],) + right[:-1]
+        for piv, c in zip(basis, pivots):
+            v = _ref_add_scaled(ctx, v, piv, v[c])
+        if any(v):
+            return False
+    return True
+
+
+def _last_modulus(m: int) -> int:
+    """The largest irreducible of degree m: not the default for m >= 3
+    (y^2 + y + 1 is the only irreducible of degree 2)."""
+    return next(a for a in range((1 << (m + 1)) - 1, 1 << m, -1)
+                if f2x_is_irreducible(a))
+
+
+def _random_matrices(rng, ctx, count):
+    """Random matrices of width 4n with zero rows, repeated rows, rank
+    deficiency and (mostly) nonzero Gram matrices."""
+    q = ctx.order
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        width = 4 * n
+        shape = rng.choice(("dense", "sparse", "zero-rows", "repeated",
+                            "deficient"))
+        nrows = rng.randint(1, 2 * width)
+        if shape == "deficient":
+            gens = [tuple(rng.randrange(q) for _ in range(width))
+                    for _ in range(rng.randint(1, 3))]
+            rows = []
+            for _ in range(nrows):
+                v = (0,) * width
+                for g in gens:
+                    v = _ref_add_scaled(ctx, v, g, rng.randrange(q))
+                rows.append(v)
+        else:
+            density = 0.2 if shape == "sparse" else 0.8
+            rows = [tuple(rng.randrange(1, q) if rng.random() < density
+                          else 0 for _ in range(width))
+                    for _ in range(nrows)]
+            if shape == "zero-rows":
+                rows[rng.randrange(nrows)] = (0,) * width
+                rows.insert(rng.randrange(nrows + 1), (0,) * width)
+            if shape == "repeated":
+                rows += rng.sample(rows, rng.randint(1, len(rows)))
+                rng.shuffle(rows)
+        yield n, tuple(rows)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])    # m = 6 packs lane by lane
+def test_packed_routines_match_tuple_reference(m):
+    from ucyclic.oracle import rref_bits
+    ctx = FieldCtx(m, _last_modulus(m))
+    rng = random.Random(100 + m)
+    seen_gram_zero = 0
+    for n, rows in _random_matrices(rng, ctx, 150):
+        gm = GenMatrix(ctx, n, rows)
+        want = _ref_rref(ctx, rows)
+        assert rref_fq(ctx, rows) == want
+        assert gm.rank() == len(want[0])
+        gram = _ref_gram_is_zero(ctx, rows)
+        seen_gram_zero += gram
+        assert gram_is_zero(gm) == gram
+        assert is_2_quasi_cyclic(gm) == _ref_quasi_cyclic(ctx, rows)
+        assert gm.packed == tuple(sum(x << (m * i) for i, x in enumerate(r))
+                                  for r in rows)
+        if m == 1:
+            assert gm.rank() == len(rref_bits(list(gm.packed), 4 * n)[0])
+    assert seen_gram_zero  # the all-zero-Gram case was exercised too
+
+
+@pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (3, 3), (1, 4)])
+def test_packed_routines_on_selfdual_images(n, m):
+    from ucyclic.cyclotomic import factor_xn_minus_1
+    fd = factor_xn_minus_1(n, m, _last_modulus(m))
+    codes = list(enumerate_selfdual(n, m, 2, fd))
+    for code in random.Random(7).sample(codes, min(len(codes), 25)):
+        gm = generator_matrix(code)
+        assert _ref_gram_is_zero(fd.ctx, gm.rows) and gram_is_zero(gm)
+        assert rref_fq(fd.ctx, gm.rows) == _ref_rref(fd.ctx, gm.rows)
+        # perturb one symbol: the Gram matrix is no longer zero or the
+        # rank is unchanged, and both routes agree either way
+        rows = [list(r) for r in gm.rows]
+        rows[0][0] ^= 1
+        bent = GenMatrix(fd.ctx, n, tuple(map(tuple, rows)))
+        assert gram_is_zero(bent) == _ref_gram_is_zero(fd.ctx, bent.rows)
+        assert bent.rank() == len(_ref_rref(fd.ctx, bent.rows)[0])
+
+
+@pytest.mark.parametrize("n,m,modulus", [(7, 1, None), (3, 2, None),
+                                         (3, 3, 0xd)])
+def test_cli_rows_are_the_packed_view(capsys, n, m, modulus):
+    import json
+
+    from ucyclic import cli
+    from ucyclic.cyclotomic import factor_xn_minus_1
+    fd = factor_xn_minus_1(n, m, modulus)
+    codes = list(enumerate_selfdual(n, m, 2, fd))
+    for code in random.Random(1).sample(codes, 3):
+        assert cli.main(["gray", "--code",
+                         json.dumps(cli.format_code(code))]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        gm = generator_matrix(code)
+        assert obj["rows"] == [hex(v) for v in gm.packed]
+        assert obj["rows"] == [hex(sum(x << (m * i) for i, x in enumerate(r)))
+                               for r in gm.rows]

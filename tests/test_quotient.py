@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import pytest
 
-from ucyclic.gf import P_ONE, P_ZERO, poly_key
+from ucyclic.cyclotomic import factor_xn_minus_1
+from ucyclic.gf import P_ONE, P_X, P_ZERO, poly_key, poly_mulmod
 from ucyclic import quotient as qt
 
 
@@ -109,3 +110,56 @@ def test_u_key_orders(fdata):
     keys = [qt.u_key(fd.ctx, w) for w in units]
     assert len(set(keys)) == len(keys)
     assert all(k[0] != 0 for k in keys)   # unit constant term
+
+
+# ---------------------------------------------------------------------------
+# per-factor constants kept on FactorData
+# ---------------------------------------------------------------------------
+
+def _fresh_constants(fd, j):
+    """The per-factor constants derived from scratch through gf/quotient."""
+    from ucyclic.selfdual import theta_set
+    ctx, d, jm = fd.ctx, fd.degree(j), fd.mate(j)
+    ring, ring_m = qt.field_ring(fd, j), qt.field_ring(fd, jm)
+    xi = ring.inv(P_X)
+    out = {
+        "f_eps": poly_mulmod(ctx, fd.factors[j], fd.idempotents[j],
+                             fd.modulus_2n()),
+        "x_inv": xi,
+        "hat_basis": tuple(ring.pow(xi, i) for i in range(d)),
+        "transport_basis": tuple(
+            ring_m.mul((fd.delta[j],), ring_m.pow(P_X, -(d + i)))
+            for i in range(d)),
+    }
+    if 0 < j < fd.num_selfrec:
+        out["theta1"] = theta_set(fd, j, 1)
+    return out
+
+
+@pytest.mark.parametrize("n,m,modulus", [(1, 2, None), (7, 1, None),
+                                         (15, 1, None), (5, 2, None),
+                                         (9, 2, None), (7, 3, 0xd),
+                                         (3, 4, 0x19)])
+def test_factor_constants_match_fresh_derivation(n, m, modulus):
+    fd = factor_xn_minus_1(n, m, modulus)
+    assert not fd._consts  # nothing is derived up front
+    for j in range(fd.r):
+        for name, want in _fresh_constants(fd, j).items():
+            got = getattr(fd, name)(j)
+            assert got == want, (n, m, j, name)
+            assert getattr(fd, name)(j) is got  # derived once, then kept
+        assert qt.x_inverse(fd, j) == fd.x_inv(j)
+        assert qt.omega_prime(fd, j, (P_ONE,)) == (fd.transport_basis(j)[0],)
+
+
+def test_factor_constants_not_shared_across_moduli():
+    # F_8 under y^3+y+1 and under y^3+y^2+1: same (n, m), different fields
+    fa = factor_xn_minus_1(7, 3)
+    fb = factor_xn_minus_1(7, 3, 0xd)
+    assert fa.ctx != fb.ctx and fa._consts is not fb._consts
+    assert factor_xn_minus_1(7, 3) is not fa  # no process-wide cache
+    for fd in (fa, fb):
+        for j in range(fd.r):
+            for name, want in _fresh_constants(fd, j).items():
+                assert getattr(fd, name)(j) == want, (fd.ctx, j, name)
+    assert any(fa.f_eps(j) != fb.f_eps(j) for j in range(fa.r))

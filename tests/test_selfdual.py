@@ -61,9 +61,9 @@ def test_theta_members_satisfy_fixed_point(fdata):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_mate_label_involution(fdata, k):
-    for (n, m) in [(7, 1), (15, 1), (1, 2)]:
+    for (n, m) in [(7, 1), (15, 1), (1, 2), (5, 2)]:
         fd = fdata(n, m)
-        for j in fd.component_indices():
+        for j in range(fd.r):               # pair mates included
             jm = fd.mate(j)
             for lab in enumerate_ideals(fd, j, k):
                 mate = mate_label(fd, j, lab, k)
