@@ -14,7 +14,7 @@ table.  Arbitrary (non-self-dual) codes get a matrix from the generic
 basis route (:func:`gray_image_matrix`).
 
 Weight distributions walk the full message space with Gray-code row
-updates; the m=1 path dispatches to :mod:`ucyclic._kernels`.
+updates; every m dispatches to :mod:`ucyclic._kernels`.
 """
 
 from __future__ import annotations
@@ -24,19 +24,16 @@ from functools import cached_property
 
 from ._kernels import weight_census
 from .duality import shape_k2
-from .errors import (DimensionTooLarge, MinDistOfTrivial, NotSelfDual,
-                     UnsupportedK)
+from .errors import MinDistOfTrivial, NotSelfDual, UnsupportedK
 from .gf import FieldCtx, P_ZERO, Poly, f2x_mod, poly_add, poly_mulmod
 from .oracle import span_code
 from .selfdual import CyclicCode, is_self_dual, to_ambient_generators
-
-MESSAGE_DIM_CAP = 32
 
 __all__ = [
     "GenMatrix", "gray_map", "gray_map_packed", "unpack_ambient", "circulant",
     "generator_matrix", "gray_image_matrix", "weight_distribution",
     "min_distance", "is_2_quasi_cyclic", "gram_is_zero", "lee_weight",
-    "lee_weight_vector", "lee_distribution", "rref_fq", "MESSAGE_DIM_CAP",
+    "lee_weight_vector", "lee_distribution", "rref_fq",
 ]
 
 
@@ -323,49 +320,25 @@ def gray_image_matrix(code: CyclicCode) -> GenMatrix:
 # weights and structure checks
 # ---------------------------------------------------------------------------
 
-def _census_symbols(ctx: FieldCtx, basis, ncols: int, low: int) -> list[int]:
-    """Weight census over the F_{2^m}-span: nonzero-symbol counts."""
-    m = ctx.m
-    # the F_2-basis {y^t * row}: (1, y, ..., y^(m-1)) spans F_{2^m} over F_2
-    packed = [_scale(ctx, v, 1 << t, low) for v in basis for t in range(m)]
-    dim = len(packed)
-    if dim > MESSAGE_DIM_CAP:
-        raise DimensionTooLarge(f"2^{dim} message walk rejected")
-    hist = [0] * (ncols + 1)
-    v = 0
-    hist[0] += 1
-    for i in range(1, 1 << dim):
-        v ^= packed[(i & -i).bit_length() - 1]
-        coll = v
-        for b in range(1, m):
-            coll |= v >> b
-        hist[(coll & low).bit_count()] += 1
-    return hist
-
-
-def weight_distribution(gm: GenMatrix, threads: int = 1,
-                        force: str | None = None) -> dict[int, int]:
+def weight_distribution(gm: GenMatrix, threads: int = 1) -> dict[int, int]:
     """Full Hamming weight distribution of the row space of gm.
 
-    Walks all q^rank messages (Gray-code order, one row XOR per step).
-    Rejects rank > 32 with DimensionTooLarge.
+    Walks all q^rank messages as the F_2 span of the basis {y^t * row}
+    ((1, y, ..., y^(m-1)) spans F_{2^m} over F_2), counting nonzero symbols.
+    Rejects m * rank > 32 with DimensionTooLarge.
     """
-    low = _lane_low(gm.ctx.m, gm.cols)
-    basis = list(_echelon(gm.ctx, gm.packed, low).values())
-    if len(basis) > MESSAGE_DIM_CAP:
-        raise DimensionTooLarge(
-            f"rank {len(basis)} exceeds the exhaustive-walk cap {MESSAGE_DIM_CAP}")
-    if gm.ctx.m == 1:
-        hist = weight_census(basis, gm.cols, threads=threads, force=force)
-    else:
-        hist = _census_symbols(gm.ctx, basis, gm.cols, low)
+    ctx = gm.ctx
+    low = _lane_low(ctx.m, gm.cols)
+    basis = [_scale(ctx, v, 1 << t, low)
+             for v in _echelon(ctx, gm.packed, low).values()
+             for t in range(ctx.m)]
+    hist = weight_census(basis, ctx.m * gm.cols, threads=threads, m=ctx.m)
     return {w: c for w, c in enumerate(hist) if c}
 
 
-def min_distance(gm: GenMatrix, threads: int = 1,
-                 force: str | None = None) -> int:
+def min_distance(gm: GenMatrix, threads: int = 1) -> int:
     """Minimum Hamming distance of the row space (exhaustive)."""
-    dist = weight_distribution(gm, threads=threads, force=force)
+    dist = weight_distribution(gm, threads=threads)
     nonzero = [w for w in dist if w > 0]
     if not nonzero:
         raise MinDistOfTrivial("the zero code has no minimum distance")
