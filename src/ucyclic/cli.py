@@ -88,6 +88,13 @@ def _int_from_hex(s, what: str) -> int:
     return v
 
 
+def _integer(v, what: str, least: int) -> int:
+    """A JSON integer (not a float, string or bool) no smaller than least."""
+    if not isinstance(v, int) or isinstance(v, bool) or v < least:
+        raise BadDescriptor(f"{what} must be an integer >= {least}, got {v!r}")
+    return v
+
+
 def format_label(ctx, label: il.IdealLabel) -> dict:
     """JSON-ready form of an ideal label (omega polys hex-packed)."""
     out: dict = {"kind": label.kind}
@@ -109,10 +116,7 @@ def parse_label(ctx, obj) -> il.IdealLabel:
     params = {}
     for name in ("i", "t", "s"):
         if obj.get(name) is not None:
-            v = obj[name]
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise BadDescriptor(f"parameter {name} must be an integer")
-            params[name] = v
+            params[name] = _integer(obj[name], f"parameter {name}", 0)
     omega = None
     if obj.get("omega") is not None:
         if not isinstance(obj["omega"], list):
@@ -142,10 +146,12 @@ def parse_code(obj, fd: FactorData | None = None) -> sd.CyclicCode:
     """CyclicCode from a descriptor object; BadDescriptor on any defect."""
     if not isinstance(obj, dict):
         raise BadDescriptor("descriptor must be a JSON object")
-    try:
-        n, m, k = int(obj["n"]), int(obj["m"]), int(obj["k"])
-    except (KeyError, TypeError, ValueError):
-        raise BadDescriptor("descriptor needs integer fields n, m, k") from None
+    stray = set(obj) - {"n", "m", "k", "modulus", "components"}
+    if stray:
+        raise BadDescriptor(f"unknown descriptor fields {sorted(stray)}")
+    if not {"n", "m", "k"} <= set(obj):
+        raise BadDescriptor("descriptor needs integer fields n, m, k")
+    n, m, k = (_integer(obj[name], name, 1) for name in ("n", "m", "k"))
     modulus = None
     if obj.get("modulus") is not None:
         modulus = _int_from_hex(obj["modulus"], "modulus")
@@ -162,7 +168,7 @@ def parse_code(obj, fd: FactorData | None = None) -> sd.CyclicCode:
     for entry in comps:
         lab = parse_label(fd.ctx, entry)
         j = entry.get("j") if isinstance(entry, dict) else None
-        if not isinstance(j, int) or not 0 <= j < fd.r:
+        if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < fd.r:
             raise BadDescriptor(f"component index j={j!r} out of range "
                                 f"(need 0..{fd.r - 1})")
         if labels[j] is not None:

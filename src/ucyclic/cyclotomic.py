@@ -21,9 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import gf
+from .errors import TooLarge
 from .gf import (FieldCtx, Poly, P_ONE, P_X, poly_add, poly_degree,
                  poly_divmod, poly_ext_gcd, poly_key, poly_mod, poly_mul,
                  poly_mulmod, poly_powmod, poly_scale, poly_trim, reciprocal)
+
+# Largest m accepted by factor_xn_minus_1: the field tables and the subfield
+# embedding of the splitting field hold 2^m entries each.
+MAX_M = 16
 
 
 def cyclotomic_cosets(n: int, q: int) -> list[tuple[int, ...]]:
@@ -77,10 +82,11 @@ class _SplittingField:
         self._build_embedding(g)
 
     def _build_embedding(self, g: int):
+        """``to_base`` maps the image of each base element back to it (None
+        when the base field already holds the roots)."""
         base, big = self.base, self.big
+        self.to_base = None
         if big is base:
-            self.to_base = {a: a for a in range(base.order)}
-            self.from_base = list(range(base.order))
             return
         # The subfield of size 2^m is generated by eta of order 2^m - 1;
         # the embedding sends y to a root z of base.modulus inside it.
@@ -96,16 +102,14 @@ class _SplittingField:
         if not roots:
             raise AssertionError("modulus has no root in the splitting field")
         z = roots[0]
-        from_base = []
+        self.to_base = {}
         for a in range(base.order):
             acc, zp = 0, 1
             for i in range(base.m):
                 if (a >> i) & 1:
                     acc ^= zp
                 zp = big.mul(zp, z)
-            from_base.append(acc)
-        self.from_base = from_base
-        self.to_base = {v: a for a, v in enumerate(from_base)}
+            self.to_base[acc] = a
 
 
 def _eval_f2poly(ctx: FieldCtx, bits: int, x0: int) -> int:
@@ -130,12 +134,11 @@ def _coset_factor(sf: _SplittingField, coset) -> Poly:
             nxt[j + 1] ^= c
             nxt[j] ^= big.mul(c, root)
         f = nxt
-    out = []
-    for c in f:
-        if c not in sf.to_base:
-            raise AssertionError("factor coefficient not in the base field")
-        out.append(sf.to_base[c])
-    return poly_trim(out)
+    if sf.to_base is None:
+        return poly_trim(f)
+    if any(c not in sf.to_base for c in f):
+        raise AssertionError("factor coefficient not in the base field")
+    return poly_trim(sf.to_base[c] for c in f)
 
 
 @dataclass
@@ -241,6 +244,8 @@ def factor_xn_minus_1(n: int, m: int, modulus: int | None = None) -> FactorData:
     """Factor x^n - 1 over F_{2^m} and fix the component ordering."""
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and >= 1")
+    if m > MAX_M:
+        raise TooLarge(f"m={m} is above the cap of {MAX_M}")
     ctx = FieldCtx(m, modulus)
     sf = _SplittingField(ctx, n)
     raw = [_coset_factor(sf, c) for c in cyclotomic_cosets(n, ctx.order)]

@@ -15,14 +15,12 @@ general-k duals are only available through the brute-force oracle.
 
 from __future__ import annotations
 
-import itertools
-
 from .cyclotomic import FactorData, factor_xn_minus_1
 from .errors import UnsupportedK
 from .gf import P_ZERO
 from .ideals import IdealLabel
 from .quotient import field_ring
-from .selfdual import CyclicCode, mate_label, theta_set
+from .selfdual import CyclicCode, assemble_codes, mate_label, theta_set
 
 __all__ = [
     "dual_code", "hull", "hull_dimension", "is_self_orthogonal",
@@ -208,20 +206,8 @@ def enumerate_selforthogonal(n: int, m: int,
     """All distinct self-orthogonal cyclic codes of length 2n, k=2."""
     if fd is None:
         fd = factor_xn_minus_1(n, m, modulus)
-    lists = []
-    for j in fd.component_indices():
-        if j < fd.num_selfrec:
-            lists.append([(lab,) for lab in _selforth_selfrec(fd, j)])
-        else:
-            lists.append(_selforth_pairs(fd, j))
-    lam, eps = fd.num_selfrec, fd.num_pairs
-    for choice in itertools.product(*lists):
-        comps: list[IdealLabel | None] = [None] * fd.r
-        for j, labs in enumerate(choice):
-            comps[j] = labs[0]
-            if j >= lam:
-                comps[j + eps] = labs[1]
-        yield CyclicCode(fd, 2, tuple(comps))
+    return assemble_codes(fd, 2, lambda j: _selforth_selfrec(fd, j),
+                          lambda j: _selforth_pairs(fd, j))
 
 
 def count_selforthogonal(n: int, m: int,

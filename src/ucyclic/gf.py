@@ -255,16 +255,6 @@ class FieldCtx:
         return f"FieldCtx(m={self.m}, modulus={self.modulus:#x})"
 
 
-def fq_mul(ctx: FieldCtx, a: int, b: int) -> int:
-    """Product in F_{2^m}."""
-    return ctx.mul(a, b)
-
-
-def fq_inv(ctx: FieldCtx, a: int) -> int:
-    """Multiplicative inverse in F_{2^m}."""
-    return ctx.inv(a)
-
-
 # ---------------------------------------------------------------------------
 # Polynomials over F_{2^m}: tuples of ints, no trailing zeros
 # ---------------------------------------------------------------------------
@@ -349,12 +339,6 @@ def poly_monic(ctx: FieldCtx, a: Poly) -> Poly:
     return poly_scale(ctx, a, ctx.inv(a[-1]))
 
 
-def poly_gcd(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
-    while b:
-        a, b = b, poly_mod(ctx, a, b)
-    return poly_monic(ctx, a)
-
-
 def poly_ext_gcd(ctx: FieldCtx, a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """Return (g, s, t) with s*a + t*b = g = gcd(a, b), g monic."""
     s, s1 = P_ONE, P_ZERO
@@ -387,13 +371,6 @@ def poly_powmod(ctx: FieldCtx, a: Poly, e: int, mod: Poly) -> Poly:
     return r
 
 
-def poly_eval(ctx: FieldCtx, a: Poly, x0: int) -> int:
-    r = 0
-    for c in reversed(a):
-        r = ctx.mul(r, x0) ^ c
-    return r
-
-
 def reciprocal(a: Poly) -> Poly:
     """x^deg(a) * a(1/x): the coefficient tuple reversed (then trimmed)."""
     return poly_trim(reversed(a))
@@ -414,10 +391,6 @@ def poly_from_key(ctx: FieldCtx, key: int) -> Poly:
         cs.append(key & mask)
         key >>= ctx.m
     return tuple(cs)
-
-
-def poly_x_pow(e: int) -> Poly:
-    return (0,) * e + (1,)
 
 
 def find_primitive(ctx: FieldCtx, f: Poly) -> Poly:

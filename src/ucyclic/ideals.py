@@ -28,8 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import quotient as qt
-from .gf import P_ONE, P_ZERO, Poly, poly_add, poly_degree, poly_trim
+from .gf import P_ONE, P_ZERO, poly_add, poly_degree
 from .errors import TooLarge
+from .oracle import map_closure, span_words
 
 KINDS = ("u_pow", "u_f", "mixed_one", "mixed_two", "two_gen", "two_gen_omega")
 
@@ -108,6 +109,11 @@ def validate_label(label: IdealLabel, k: int, d: int | None = None) -> None:
 # counting
 # ---------------------------------------------------------------------------
 
+def _require_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"nilpotency index k must be >= 1, got {k}")
+
+
 def omega1(q: int, k: int) -> int:
     """Number of mixed_one ideals."""
     if k % 2 == 0:
@@ -144,6 +150,7 @@ def count_ideals_by_shape(q: int, k: int) -> dict[str, int]:
 
 def count_ideals(q: int, k: int) -> int:
     """Total number of ideals of K[u]/(u^k), residue field of size q."""
+    _require_k(k)
     if k % 2 == 0:
         return sum((1 + 4 * i) * q ** (k // 2 - i) for i in range(k // 2 + 1))
     return sum((3 + 4 * i) * q ** ((k - 1) // 2 - i)
@@ -185,6 +192,7 @@ def enumerate_ideals(fd, j: int, k: int):
     indices ascending (i, then t, then s) and unit expansions in the canonical
     counter order of :func:`ucyclic.quotient.u_units`.
     """
+    _require_k(k)
     ring = qt.field_ring(fd, j)
     for i in range(k + 1):
         yield IdealLabel("u_pow", i=i)
@@ -289,48 +297,10 @@ def _component_monomial_maps(fd, j: int, k: int):
     return nbits, maps
 
 
-def _apply_map(images, v: int) -> int:
-    out = 0
-    while v:
-        low = v & -v
-        out ^= images[low.bit_length() - 1]
-        v ^= low
-    return out
-
-
-def _xor_basis_insert(basis: list[int], v: int) -> bool:
-    """Reduce v against the basis; append if independent.  Basis rows are
-    kept with distinct leading bits (not full RREF)."""
-    for row in basis:
-        v = min(v, v ^ row)
-    if v:
-        basis.append(v)
-        basis.sort(reverse=True)
-        return True
-    return False
-
-
-def span_from_orbit(gens: list[int], maps, nbits: int) -> list[int]:
-    """XOR basis of the smallest map-closed subspace containing gens."""
-    basis: list[int] = []
-    pending = list(gens)
-    while pending:
-        v = pending.pop()
-        if not _xor_basis_insert(basis, v):
-            continue
-        for images in maps:
-            pending.append(_apply_map(images, v))
-    return basis
-
-
 def ideal_members(fd, j: int, k: int, label: IdealLabel) -> frozenset[int]:
     """All members, bit-packed; guarded by the 2^24 ambient cap."""
     nbits, maps = _component_monomial_maps(fd, j, k)
     if nbits > MEMBER_CAP_LOG2:
         raise TooLarge(f"component ring has 2^{nbits} elements")
     gens = [pack_uelem(fd, j, k, g) for g in ideal_generators(fd, j, k, label)]
-    basis = span_from_orbit(gens, maps, nbits)
-    members = {0}
-    for row in basis:
-        members |= {w ^ row for w in members}
-    return frozenset(members)
+    return span_words(map_closure(gens, maps))

@@ -68,6 +68,45 @@ def nullspace_bits(rows, ncols: int) -> list[int]:
     return basis
 
 
+def apply_map(images, v: int) -> int:
+    """Image of v under the F_2-linear map with per-bit images ``images``."""
+    out = 0
+    while v:
+        low = v & -v
+        out ^= images[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
+def map_closure(gens, maps) -> list[int]:
+    """XOR basis of the smallest F_2 subspace holding gens and closed under
+    every map in ``maps`` (per-bit image tuples, see :func:`apply_map`).
+
+    Rows have distinct leading bits and are kept sorted descending; the
+    basis is not reduced (pass it through :func:`rref_bits` for that).
+    """
+    basis: list[int] = []
+    pending = [int(g) for g in gens]
+    while pending:
+        v = pending.pop()
+        for row in basis:
+            v = min(v, v ^ row)
+        if not v:
+            continue
+        basis.append(v)
+        basis.sort(reverse=True)
+        pending.extend(apply_map(images, v) for images in maps)
+    return basis
+
+
+def span_words(basis) -> frozenset[int]:
+    """Every F_2 combination of the (independent) basis rows."""
+    out = {0}
+    for row in basis:
+        out |= {w ^ row for w in out}
+    return frozenset(out)
+
+
 @dataclass(frozen=True)
 class DenseCode:
     """A cyclic code as an explicit F_2 subspace of packed R^(2n) vectors."""
@@ -100,10 +139,7 @@ class DenseCode:
         """Materialized word set (refuses above 2^20 words)."""
         if self.rank > WORDS_CAP_LOG2:
             raise TooLarge(f"2^{self.rank} words")
-        out = {0}
-        for row in self.basis:
-            out |= {w ^ row for w in out}
-        return frozenset(out)
+        return span_words(self.basis)
 
 
 def _canon(rows, nbits: int) -> tuple[int, ...]:
@@ -153,30 +189,10 @@ def ambient_maps(n: int, m: int, k: int, modulus: int | None = None):
     return nbits, tuple(maps), tuple(invertible)
 
 
-def apply_map(images, v: int) -> int:
-    out = 0
-    while v:
-        low = v & -v
-        out ^= images[low.bit_length() - 1]
-        v ^= low
-    return out
-
-
 def span_code(n: int, m: int, k: int, gens, modulus: int | None = None) -> DenseCode:
     """Smallest cyclic code (ideal) containing the packed generators."""
     nbits, maps, _ = ambient_maps(n, m, k, modulus)
-    basis: list[int] = []
-    pending = [int(g) for g in gens]
-    while pending:
-        v = pending.pop()
-        for row in basis:
-            v = min(v, v ^ row)
-        if not v:
-            continue
-        basis.append(v)
-        basis.sort(reverse=True)
-        pending.extend(apply_map(images, v) for images in maps)
-    return DenseCode(n, m, k, _canon(basis, nbits))
+    return DenseCode(n, m, k, _canon(map_closure(gens, maps), nbits))
 
 
 # ---------------------------------------------------------------------------
@@ -265,21 +281,6 @@ def _all_ideals_generic(nbits: int, maps, invertible) -> list[tuple[int, ...]]:
     if nbits > AMBIENT_CAP_LOG2:
         raise TooLarge(f"ambient space has 2^{nbits} elements")
 
-    def closure(gens):
-        basis: list[int] = []
-        pending = list(gens)
-        while pending:
-            v = pending.pop()
-            for row in basis:
-                v = min(v, v ^ row)
-            if not v:
-                continue
-            basis.append(v)
-            basis.sort(reverse=True)
-            pending.extend(apply_map(im, v) for im in maps)
-        red, _ = rref_bits(basis, nbits)
-        return tuple(red)
-
     seen_vec = bytearray(1 << nbits)
     found = {(): None}
     for v in range(1, 1 << nbits):
@@ -297,15 +298,15 @@ def _all_ideals_generic(nbits: int, maps, invertible) -> list[tuple[int, ...]]:
                     stack.append(img)
         for w in orbit:
             seen_vec[w] = 1
-        found[closure([v])] = None
+        found[_canon(map_closure([v], maps), nbits)] = None
 
     # close under pairwise sums
     pool = list(found)
     while True:
         fresh = []
-        for i, a in enumerate(pool):
+        for a in pool:
             for b in pool:
-                s = closure(list(a) + list(b))
+                s = _canon(map_closure(a + b, maps), nbits)
                 if s not in found:
                     found[s] = None
                     fresh.append(s)
@@ -330,13 +331,8 @@ def brute_component_ideals(fd, j: int, k: int) -> list[frozenset[int]]:
     if nbits > AMBIENT_CAP_LOG2:
         raise TooLarge(f"component ring has 2^{nbits} elements")
     invertible = [maps[0]] + ([maps[2]] if fd.m > 1 else [])
-    out = []
-    for basis in _all_ideals_generic(nbits, maps, invertible):
-        members = {0}
-        for row in basis:
-            members |= {w ^ row for w in members}
-        out.append(frozenset(members))
-    return out
+    return [span_words(basis)
+            for basis in _all_ideals_generic(nbits, maps, invertible)]
 
 
 def theta_congruence_filter(fd, j: int, s: int):

@@ -14,8 +14,8 @@ u-coefficient first.
 from __future__ import annotations
 
 from .gf import (FieldCtx, Poly, P_ONE, P_ZERO, poly_add, poly_degree,
-                 poly_from_key, poly_key, poly_mod, poly_mul, poly_mulmod,
-                 poly_powmod, poly_scale)
+                 poly_from_key, poly_mod, poly_mul, poly_mulmod, poly_powmod,
+                 poly_scale)
 
 
 class QuotRing:
@@ -79,58 +79,6 @@ def chain_ring(fd, j: int) -> QuotRing:
 UElem = tuple  # tuple of s ring elements, u^0 coefficient first
 
 
-def u_zero(s: int) -> UElem:
-    return (P_ZERO,) * s
-
-
-def u_one(s: int) -> UElem:
-    return (P_ONE,) + (P_ZERO,) * (s - 1)
-
-
-def u_add(a: UElem, b: UElem) -> UElem:
-    return tuple(poly_add(x, y) for x, y in zip(a, b))
-
-
-def u_mul(ring: QuotRing, a: UElem, b: UElem) -> UElem:
-    """Product in ring[u]/(u^s), s = len(a) = len(b)."""
-    s = len(a)
-    out = [P_ZERO] * s
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j in range(s - i):
-            y = b[j]
-            if y:
-                out[i + j] = poly_add(out[i + j], ring.mul(x, y))
-    return tuple(out)
-
-
-def u_scale(ring: QuotRing, a: UElem, c: Poly) -> UElem:
-    return tuple(ring.mul(x, c) for x in a)
-
-
-def is_unit(ring: QuotRing, a: UElem) -> bool:
-    """Units of ring[u]/(u^s) are exactly those with a unit constant term."""
-    try:
-        ring.inv(a[0])
-    except ZeroDivisionError:
-        return False
-    return True
-
-
-def u_inv(ring: QuotRing, a: UElem) -> UElem:
-    """Series inverse in ring[u]/(u^s)."""
-    s = len(a)
-    b0 = ring.inv(a[0])
-    out = [b0] + [P_ZERO] * (s - 1)
-    for i in range(1, s):
-        acc = P_ZERO
-        for j in range(1, i + 1):
-            acc = poly_add(acc, ring.mul(a[j], out[i - j]))
-        out[i] = ring.mul(b0, acc)  # char 2: -acc == acc
-    return tuple(out)
-
-
 def u_units(ring: QuotRing, s: int):
     """All units of ring[u]/(u^s) for a *field* base ring, in canonical order.
 
@@ -149,19 +97,9 @@ def u_units(ring: QuotRing, s: int):
         yield tuple(poly_from_key(ring.ctx, d) for d in digits)
 
 
-def u_key(ctx: FieldCtx, a: UElem) -> tuple[int, ...]:
-    """Canonical sort key for u-elements."""
-    return tuple(poly_key(ctx, x) for x in a)
-
-
 # ---------------------------------------------------------------------------
 # the x -> x^(-1) substitution and the omega' transport
 # ---------------------------------------------------------------------------
-
-def x_inverse(fd, j: int) -> Poly:
-    """x^(-1) = x^(n-1) reduced mod f_j (valid since f_j divides x^n - 1)."""
-    return fd.x_inv(j)
-
 
 def _combine(ctx: FieldCtx, basis, a: Poly) -> Poly:
     """sum a_i * basis[i]: the linear map with those basis images at a."""
@@ -183,11 +121,6 @@ def hat(fd, j_src: int, a: Poly, j_dst: int | None = None) -> Poly:
     if j_dst is None:
         j_dst = fd.mate(j_src)
     return _combine(fd.ctx, fd.hat_basis(j_dst), a)
-
-
-def hat_u(fd, j_src: int, a: UElem, j_dst: int | None = None) -> UElem:
-    """hat applied to every u-coefficient."""
-    return tuple(hat(fd, j_src, x, j_dst) for x in a)
 
 
 def omega_prime(fd, j: int, omega: UElem) -> UElem:

@@ -237,26 +237,20 @@ def selfdual_component_labels(fd: FactorData, j: int, k: int):
                 yield IdealLabel("two_gen_omega", i=i, t=t, s=k - i, omega=w)
 
 
-def _component_label_lists(fd: FactorData, k: int):
-    """Per-component-index iterables whose product is all self-dual codes."""
-    lists = []
-    for j in fd.component_indices():
-        if j < fd.num_selfrec:
-            lists.append([(lab,) for lab in selfdual_component_labels(fd, j, k)])
-        else:
-            lists.append([(lab, mate_label(fd, j, lab, k))
-                          for lab in enumerate_ideals(fd, j, k)])
-    return lists
+def assemble_codes(fd: FactorData, k: int, selfrec, pairs):
+    """Every code in the product of per-component choices, streaming.
 
-
-def _assemble(fd: FactorData, k: int, choice) -> CyclicCode:
-    lam, eps = fd.num_selfrec, fd.num_pairs
-    components = [None] * fd.r
-    for j, labs in enumerate(choice):
-        components[j] = labs[0]
-        if j >= lam:
-            components[j + eps] = labs[1]
-    return CyclicCode(fd, k, tuple(components))
+    ``selfrec(j)`` lists the labels allowed at self-reciprocal component j;
+    ``pairs(j)`` lists (label, mate label) tuples for pair representative j,
+    the mate label going to component ``fd.mate(j)``.  Codes come in
+    ``itertools.product`` order over components 0, 1, ..., in list order.
+    """
+    lam = fd.num_selfrec
+    lists = ([list(selfrec(j)) for j in range(lam)]
+             + [list(pairs(j)) for j in range(lam, lam + fd.num_pairs)])
+    for choice in itertools.product(*lists):
+        # self-reciprocal labels, then the pair labels, then their mates
+        yield CyclicCode(fd, k, sum(zip(*choice[lam:]), choice[:lam]))
 
 
 def enumerate_selfdual(n: int, m: int, k: int,
@@ -270,12 +264,10 @@ def enumerate_selfdual(n: int, m: int, k: int,
         raise UnsupportedK("self-duality needs k >= 2")
     if fd is None:
         fd = factor_xn_minus_1(n, m, modulus)
-    return _iter_selfdual(fd, k)
-
-
-def _iter_selfdual(fd: FactorData, k: int):
-    for choice in itertools.product(*_component_label_lists(fd, k)):
-        yield _assemble(fd, k, choice)
+    return assemble_codes(
+        fd, k, lambda j: selfdual_component_labels(fd, j, k),
+        lambda j: ((lab, mate_label(fd, j, lab, k))
+                   for lab in enumerate_ideals(fd, j, k)))
 
 
 def count_selfdual(n: int, m: int, k: int,
@@ -494,15 +486,10 @@ _PAIR_TABLES = {2: _k2_pairs, 3: _k3_pairs, 4: _k4_pairs, 5: _k5_pairs}
 
 def _list_from_tables(fd: FactorData, k: int):
     selfrec_fn, pair_fn = _SELFREC_TABLES[k], _PAIR_TABLES[k]
-    lists = []
-    for j in fd.component_indices():
-        if j < fd.num_selfrec:
-            theta1 = [w[0] for w in theta_set(fd, j, 1).members]
-            lists.append([(lab,) for lab in selfrec_fn(theta1)])
-        else:
-            lists.append(list(pair_fn(fd, j)))
-    for choice in itertools.product(*lists):
-        yield _assemble(fd, k, choice)
+    return assemble_codes(
+        fd, k,
+        lambda j: selfrec_fn([w[0] for w in theta_set(fd, j, 1).members]),
+        lambda j: pair_fn(fd, j))
 
 
 def selfdual_k2_list(n: int, m: int, fd: FactorData | None = None,

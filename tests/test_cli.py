@@ -253,3 +253,43 @@ def test_parse_label_rejects_stray_fields():
         cli.parse_label(FieldCtx(1), {"kind": "wat"})
     with pytest.raises(BadDescriptor):
         cli.parse_label(FieldCtx(1), {"kind": "u_f", "s": "one"})
+
+
+SD7_J_BOOL = [c | {"j": True} if c["j"] == 1 else c
+              for c in json.loads(SD7)["components"]]
+
+
+@pytest.mark.parametrize("change", [
+    {"n": 7.5}, {"n": "7"}, {"k": 2.9}, {"m": True}, {"n": 0}, {"k": -2},
+    {"extra": 1}, {"components": SD7_J_BOOL}],
+    ids=["n-float", "n-string", "k-float", "m-bool", "n-zero", "k-negative",
+         "unknown-key", "j-bool"])
+def test_descriptor_fields_match_schema(capsys, change):
+    # each of these breaks code_descriptor.schema.json, so the CLI refuses it
+    # (int() would read 7.5 as 7, "7" as 7, 2.9 as 2 and true as 1)
+    desc = json.loads(SD7) | change
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(desc, schema("code_descriptor.schema.json"))
+    for cmd in ("hull", "gray"):
+        rc, out = run(capsys, cmd, "--code", json.dumps(desc))
+        assert rc == 2 and out == ""
+
+
+def test_m_above_cap_exits_4(capsys):
+    from ucyclic.cyclotomic import MAX_M
+    m = str(MAX_M + 1)
+    rc, out = run(capsys, "factor", "--n", "3", "--m", m)
+    assert rc == 4 and out == ""
+    rc, out = run(capsys, "count-selfdual", "--n", "3", "--m", m, "--k", "2")
+    assert rc == 4 and out == ""
+    desc = json.loads(SD7) | {"m": MAX_M + 1}
+    rc, out = run(capsys, "hull", "--code", json.dumps(desc))
+    assert rc == 4 and out == ""
+
+
+def test_k_below_one_exits_2(capsys):
+    for argv in (["count-ideals", "--q", "4", "--k", "-1"],
+                 ["count-ideals", "--q", "4", "--k", "0"],
+                 ["enum-ideals", "--q", "4", "--k", "0"]):
+        rc, out = run(capsys, *argv)
+        assert rc == 2 and out == "", argv

@@ -108,10 +108,16 @@ def test_size_log2_spot_values():
         assert ideal_size_log2(lab, 1, 1, 2) == want
 
 
-@pytest.mark.parametrize("n,m,j,k", [(1, 1, 0, 2), (1, 1, 0, 3), (3, 1, 1, 2),
-                                     (1, 2, 0, 2), (1, 1, 0, 4)])
-def test_members_match_size(fdata, n, m, j, k):
-    fd = fdata(n, m)
+MEMBER_CASES = [(1, 1, 0, 2, None), (1, 1, 0, 3, None), (3, 1, 1, 2, None),
+                (1, 2, 0, 2, None), (1, 1, 0, 4, None), (1, 3, 0, 2, 0xd)]
+
+
+@pytest.mark.parametrize(
+    "n,m,j,k,modulus", MEMBER_CASES,
+    ids=["-".join(map(str, c[:4])) + (f"-{c[4]:#x}" if c[4] else "")
+         for c in MEMBER_CASES])
+def test_members_match_size(fdata, n, m, j, k, modulus):
+    fd = fdata(n, m, modulus)
     d = fd.degree(j)
     for lab in enumerate_ideals(fd, j, k):
         members = ideal_members(fd, j, k, lab)
@@ -136,3 +142,13 @@ def test_generators_lie_in_members(fdata):
             from ucyclic.ideals import pack_uelem
             for g in ideal_generators(fd, 1, k, lab):
                 assert pack_uelem(fd, 1, k, g) in members
+
+
+def test_k_below_one_rejected(fdata):
+    fd = fdata(1, 1)
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            count_ideals(4, k)
+        with pytest.raises(ValueError):
+            list(enumerate_ideals(fd, 0, k))
+    assert count_ideals(4, 1) == 3 == len(list(enumerate_ideals(fd, 0, 1)))

@@ -2,15 +2,18 @@
 duals by linear systems, and exhaustive ideal censuses."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from ucyclic.errors import TooLarge
 from ucyclic.ideals import count_ideals
-from ucyclic.oracle import (AMBIENT_CAP_LOG2, DenseCode, brute_all_ideals,
-                            brute_component_ideals, brute_dual,
-                            brute_intersect, brute_is_selfdual,
-                            brute_is_selforthogonal, nullspace_bits,
-                            rref_bits, span_code, theta_congruence_filter)
+from ucyclic.oracle import (AMBIENT_CAP_LOG2, DenseCode, ambient_maps,
+                            brute_all_ideals, brute_component_ideals,
+                            brute_dual, brute_intersect, brute_is_selfdual,
+                            brute_is_selforthogonal, map_closure,
+                            nullspace_bits, rref_bits, span_code, span_words,
+                            theta_congruence_filter)
 from ucyclic.selfdual import theta_set
 
 
@@ -42,6 +45,49 @@ def test_span_code_shapes():
     dc = span_code(1, 1, 2, [0b10])       # u in coordinate 0
     assert len(dc.basis) == 2
     assert sorted(dc.words()) == [0, 0b10, 0b1000, 0b1010]
+
+
+def _word_closure(gens, maps, nbits):
+    """Smallest map-closed subspace holding gens, grown word by word."""
+    words = {0}
+    queue = list(gens)
+    while queue:
+        w = queue.pop()
+        if w in words:
+            continue
+        fresh = {w ^ x for x in words}
+        words |= fresh
+        for v in fresh:
+            for images in maps:
+                img = 0
+                for b in range(nbits):
+                    if (v >> b) & 1:
+                        img ^= images[b]
+                queue.append(img)
+    return words
+
+
+# ambient spaces of 2^12 words: m = 1, 2 and 3 (the last under y^3+y^2+1)
+@pytest.mark.parametrize("n,m,k,modulus", [(3, 1, 2, None), (1, 2, 3, None),
+                                           (3, 2, 1, None), (1, 3, 2, 0xd)])
+def test_map_closure_matches_word_bfs(n, m, k, modulus):
+    nbits, maps, _ = ambient_maps(n, m, k, modulus)
+    assert nbits == 12
+    rng = random.Random(nbits * 100 + m * 10 + k)
+    sizes = set()
+    for _ in range(12):
+        # sparse generators keep some spans proper
+        gens = [sum(1 << rng.randrange(nbits)
+                    for _ in range(rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 2))]
+        basis = map_closure(gens, maps)
+        want = _word_closure(gens, maps, nbits)
+        assert span_words(basis) == want
+        assert len(basis) == len({r.bit_length() for r in basis})
+        assert basis == sorted(basis, reverse=True)
+        assert span_code(n, m, k, gens, modulus).words() == want
+        sizes.add(len(want))
+    assert len(sizes) > 1
 
 
 def test_brute_dual_hand_checked():
