@@ -10,7 +10,8 @@ enum-selfdual   stream the self-dual codes as JSON descriptors
 count-selforth  number of self-orthogonal cyclic codes of length 2n (k = 2)
 enum-selforth   stream the self-orthogonal codes (k = 2)
 hull            hull (code meet dual) of a described code (k = 2)
-gray            Gray-image generator matrix, weight distribution, or min distance
+gray            Gray-image generator matrix, weight distribution (census walk),
+                or min distance (information sets, no walk)
 verify          run the brute-force oracle suite for one (n, m, k)
 tables          the published count tables and the L_k ideal-count list, as CSV
 
@@ -50,6 +51,7 @@ import csv
 import json
 import os
 import random
+import re
 import sys
 
 from . import duality as du
@@ -76,16 +78,15 @@ def _hex(v: int) -> str:
     return hex(v)
 
 
+_HEXPOLY = re.compile(r"0x[0-9a-f]+")     # the schemas' hexpoly pattern
+
+
 def _int_from_hex(s, what: str) -> int:
-    if not isinstance(s, str):
-        raise BadDescriptor(f"{what} must be a hex string, got {s!r}")
-    try:
-        v = int(s, 16)
-    except ValueError:
-        raise BadDescriptor(f"{what} is not valid hex: {s!r}") from None
-    if v < 0:
-        raise BadDescriptor(f"{what} must be nonnegative")
-    return v
+    """A hex string as the schemas write it: 0x, then lower-case digits."""
+    if not isinstance(s, str) or not _HEXPOLY.fullmatch(s):
+        raise BadDescriptor(f"{what} must be a hex string matching "
+                            f"0x[0-9a-f]+, got {s!r}")
+    return int(s, 16)
 
 
 def _integer(v, what: str, least: int) -> int:
@@ -115,10 +116,10 @@ def parse_label(ctx, obj) -> il.IdealLabel:
         raise BadDescriptor(f"unknown ideal kind {kind!r}")
     params = {}
     for name in ("i", "t", "s"):
-        if obj.get(name) is not None:
+        if name in obj:
             params[name] = _integer(obj[name], f"parameter {name}", 0)
     omega = None
-    if obj.get("omega") is not None:
+    if "omega" in obj:
         if not isinstance(obj["omega"], list):
             raise BadDescriptor("omega must be a list of hex polynomials")
         omega = tuple(poly_from_key(ctx, _int_from_hex(h, "omega entry"))
@@ -153,7 +154,7 @@ def parse_code(obj, fd: FactorData | None = None) -> sd.CyclicCode:
         raise BadDescriptor("descriptor needs integer fields n, m, k")
     n, m, k = (_integer(obj[name], name, 1) for name in ("n", "m", "k"))
     modulus = None
-    if obj.get("modulus") is not None:
+    if "modulus" in obj:
         modulus = _int_from_hex(obj["modulus"], "modulus")
     if fd is None or fd.n != n or fd.m != m or (
             modulus is not None and fd.ctx.modulus != modulus):
@@ -294,16 +295,12 @@ def _gray_matrix(code: sd.CyclicCode) -> gr.GenMatrix:
 def _cmd_gray(args) -> int:
     code = _read_code_arg(args.code)
     gm = _gray_matrix(code)
-    if args.weights or args.mindist:
+    if args.mindist:
+        _emit({"min_distance": gr.min_distance(gm, threads=args.threads)})
+        return EXIT_OK
+    if args.weights:
         dist = gr.weight_distribution(gm, threads=args.threads)
-        if args.mindist:
-            nz = [w for w in dist if w]
-            if not nz:
-                raise MinDistOfTrivial(
-                    "minimum distance of the zero code is undefined")
-            _emit({"min_distance": min(nz)})
-        else:
-            _emit({"distribution": {str(w): dist[w] for w in sorted(dist)}})
+        _emit({"distribution": {str(w): dist[w] for w in sorted(dist)}})
         return EXIT_OK
     if args.grid:
         for row in gm.rows:
@@ -571,7 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generator matrix (default)")
     g.add_argument("--weights", action="store_true",
                    help="full weight distribution")
-    g.add_argument("--mindist", action="store_true", help="minimum distance")
+    g.add_argument("--mindist", action="store_true",
+                   help="minimum distance, by information sets")
     p.add_argument("--grid", action="store_true",
                    help="plain-text matrix grid instead of JSON")
     p.add_argument("--threads", type=int, default=_default_threads())

@@ -14,7 +14,9 @@ table.  Arbitrary (non-self-dual) codes get a matrix from the generic
 basis route (:func:`gray_image_matrix`).
 
 Weight distributions walk the full message space with Gray-code row
-updates; every m dispatches to :mod:`ucyclic._kernels`.
+updates; every m dispatches to :mod:`ucyclic._kernels`.  Minimum distances
+enumerate only low-weight messages on information sets (Brouwer-Zimmermann,
+:func:`min_distance`); the census is their oracle.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from ._kernels import weight_census
+from ._kernels import MAX_CENSUS_DIM, weight_census
 from .duality import shape_k2
-from .errors import MinDistOfTrivial, NotSelfDual, UnsupportedK
+from .errors import (DimensionTooLarge, MinDistOfTrivial, NotSelfDual,
+                     UnsupportedK)
 from .gf import FieldCtx, P_ZERO, Poly, f2x_mod, poly_add, poly_mulmod
 from .oracle import span_code
 from .selfdual import CyclicCode, is_self_dual, to_ambient_generators
@@ -106,23 +109,42 @@ def _echelon(ctx: FieldCtx, packed, low: int) -> dict[int, int]:
     return basis
 
 
+def _systematic(ctx: FieldCtx, rows, lanes, low: int):
+    """Reduced form of independent lane-packed rows, pivoting on the lanes of
+    ``lanes`` in order wherever a pivot can go.  Returns (rows, pivot lanes):
+    row i has a 1 at pivot i and 0 at every other pivot, so on the pivots a
+    codeword reads its message."""
+    m, mask = ctx.m, ctx.order - 1
+    rows, pivots = list(rows), []
+    for lane in lanes:
+        done = len(pivots)
+        if done == len(rows):
+            break
+        shift = m * lane
+        i = next((i for i in range(done, len(rows))
+                  if rows[i] >> shift & mask), None)
+        if i is None:
+            continue
+        v = _scale(ctx, rows[i], ctx.inv(rows[i] >> shift & mask), low)
+        rows[i], rows[done] = rows[done], v
+        for j, r in enumerate(rows):
+            c = r >> shift & mask
+            if c and j != done:
+                rows[j] = r ^ _scale(ctx, v, c, low)
+        pivots.append(lane)
+    return rows, pivots
+
+
 def rref_fq(ctx: FieldCtx, rows) -> tuple[list[tuple[int, ...]], list[int]]:
     """Reduced row echelon form over F_{2^m}; leftmost-pivot convention."""
     rows = list(rows)
     if not rows:
         return [], []
-    ncols, m, mask = len(rows[0]), ctx.m, ctx.order - 1
+    ncols, m = len(rows[0]), ctx.m
     low = _lane_low(m, ncols)
     basis = _echelon(ctx, [_pack(m, tuple(r)) for r in rows], low)
-    pivots = sorted(basis)
-    # back-substitute from the rightmost pivot, whose row is already reduced
-    for i in reversed(range(len(pivots))):
-        q = pivots[i]
-        for p in pivots[:i]:
-            c = (basis[p] >> (m * q)) & mask
-            if c:
-                basis[p] ^= _scale(ctx, basis[q], c, low)
-    return [_unpack(m, basis[p], ncols) for p in pivots], pivots
+    reduced, pivots = _systematic(ctx, basis.values(), range(ncols), low)
+    return [_unpack(m, v, ncols) for v in reduced], pivots
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +339,7 @@ def gray_image_matrix(code: CyclicCode) -> GenMatrix:
 
 
 # ---------------------------------------------------------------------------
-# weights and structure checks
+# weight distributions: the census walk
 # ---------------------------------------------------------------------------
 
 def weight_distribution(gm: GenMatrix, threads: int = 1) -> dict[int, int]:
@@ -336,14 +358,103 @@ def weight_distribution(gm: GenMatrix, threads: int = 1) -> dict[int, int]:
     return {w: c for w, c in enumerate(hist) if c}
 
 
-def min_distance(gm: GenMatrix, threads: int = 1) -> int:
-    """Minimum Hamming distance of the row space (exhaustive)."""
-    dist = weight_distribution(gm, threads=threads)
-    nonzero = [w for w in dist if w > 0]
-    if not nonzero:
-        raise MinDistOfTrivial("the zero code has no minimum distance")
-    return min(nonzero)
+# ---------------------------------------------------------------------------
+# minimum distance by information sets (Brouwer-Zimmermann)
+# ---------------------------------------------------------------------------
 
+def _information_sets(ctx: FieldCtx, basis, ncols: int, low: int):
+    """Systematic forms on successive information sets, each pivoting first
+    on the lanes that no earlier form pivots on.  Returns (rows, fresh)
+    pairs, fresh the number of such new pivots; stops when none is new."""
+    used: set[int] = set()
+    forms = []
+    while True:
+        order = [c for c in range(ncols) if c not in used] + sorted(used)
+        rows, pivots = _systematic(ctx, basis, order, low)
+        fresh = [p for p in pivots if p not in used]
+        if not fresh:
+            return forms
+        forms.append((rows, len(fresh)))
+        used.update(fresh)
+
+
+def _multiples(ctx: FieldCtx, v: int, low: int) -> list[int]:
+    """c * v for c = 1, ..., q - 1, by linearity over the planes y^t * v."""
+    planes = [_scale(ctx, v, 1 << t, low) for t in range(ctx.m)]
+    table = [0]
+    for c in range(1, ctx.order):
+        table.append(table[c & (c - 1)] ^ planes[(c & -c).bit_length() - 1])
+    return table[1:]
+
+
+def _least_weight(mults: list[list[int]], w: int, weight) -> int:
+    """Least weight of the words sum c_i * row_i over w of the rows, the
+    first coefficient 1 (weights do not change under scaling) and the others
+    nonzero; mults[i] lists the nonzero multiples of row i, row i first."""
+    k = len(mults)
+
+    def rest(acc: int, start: int, left: int) -> int:
+        if left == 1:
+            return min(weight(acc ^ x) for ms in mults[start:] for x in ms)
+        return min(rest(acc ^ x, i + 1, left - 1)
+                   for i in range(start, k - left + 1) for x in mults[i])
+
+    if w == 1:
+        return min(weight(ms[0]) for ms in mults)
+    return min(rest(ms[0], i + 1, w - 1)
+               for i, ms in enumerate(mults[:k - w + 1]))
+
+
+def min_distance(gm: GenMatrix, threads: int = 1) -> int:
+    """Minimum Hamming distance of the row space, by Brouwer-Zimmermann.
+
+    The codewords are enumerated on systematic forms over successive
+    information sets (:func:`_information_sets`): for w = 1, 2, ... the
+    weight-w messages of each form, the least weight seen being an upper
+    bound.  A codeword not yet seen has w + 1 or more nonzero symbols on the
+    pivots of each form, at most k - r_j of them on pivots of earlier forms
+    (r_j the form's new pivots), so its weight is at least
+    sum_j max(0, w + 1 - (k - r_j)); the search stops when the upper bound
+    reaches that lower bound.  A self-dual image needs two disjoint forms.
+
+    Keeps the census's cap: m * rank > 32 raises DimensionTooLarge.
+    ``threads`` is accepted for the census's signature; this route runs on
+    one thread and does not use it.
+    """
+    ctx, ncols = gm.ctx, gm.cols
+    m, low = ctx.m, _lane_low(ctx.m, gm.cols)
+    basis = list(_echelon(ctx, gm.packed, low).values())
+    k = len(basis)
+    if not k:
+        raise MinDistOfTrivial("the zero code has no minimum distance")
+    if m * k > MAX_CENSUS_DIM:
+        raise DimensionTooLarge(f"minimum distance over 2^{m * k} words "
+                                f"exceeds the 2^{MAX_CENSUS_DIM} cap")
+    if m == 1:
+        weight = int.bit_count
+    else:
+        def weight(v: int) -> int:     # nonzero m-bit lanes
+            x = v
+            for t in range(1, m):
+                x |= v >> t
+            return (x & low).bit_count()
+    forms = [([_multiples(ctx, v, low) for v in rows], k - fresh)
+             for rows, fresh in _information_sets(ctx, basis, ncols, low)]
+    upper = ncols
+    for w in range(1, k + 1):
+        for j, (mults, _) in enumerate(forms):
+            upper = min(upper, _least_weight(mults, w, weight))
+            lower = sum(max(0, w + (i <= j) - old)
+                        for i, (_, old) in enumerate(forms))
+            # after w = k on the first form, every codeword has been seen
+            if upper <= lower or w == k:
+                return upper
+    return upper
+
+
+# ---------------------------------------------------------------------------
+# structure checks
+# ---------------------------------------------------------------------------
 
 def is_2_quasi_cyclic(gm: GenMatrix) -> bool:
     """Does the simultaneous cyclic shift of both halves fix the row space?"""

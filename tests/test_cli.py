@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from ucyclic import cli
-from ucyclic.selfdual import enumerate_selfdual, enumerate_cyclic
+from ucyclic.selfdual import enumerate_cyclic, enumerate_selfdual, is_self_dual
 
 
 def run(capsys, *argv):
@@ -169,6 +169,29 @@ def test_gray_weights_and_mindist(capsys):
     assert obj["min_distance"] == min(w for w in dist if w)
 
 
+def _mindist_descriptors() -> list[str]:
+    # two self-dual codes at m = 2, and codes that are not self-dual at
+    # m = 1 and m = 2, each image with at most 2^20 words
+    out = [cli.format_code(c) for c in list(enumerate_selfdual(3, 2, 2))[::30]]
+    for n, m in ((5, 1), (3, 2)):
+        codes = [c for c in enumerate_cyclic(n, m, 2)
+                 if 0 < c.size_log2() <= 20 and not is_self_dual(c)]
+        out += [cli.format_code(c) for c in codes[::len(codes) // 2]]
+    return [json.dumps(d) for d in out]
+
+
+@pytest.mark.parametrize("desc", _mindist_descriptors())
+def test_gray_mindist_matches_weights(capsys, desc):
+    rc, out = run(capsys, "gray", "--code", desc, "--weights")
+    assert rc == 0
+    dist = {int(w): c for w, c in json.loads(out)["distribution"].items()}
+    rc, out = run(capsys, "gray", "--code", desc, "--mindist")
+    assert rc == 0
+    obj = json.loads(out)
+    jsonschema.validate(obj, schema("gray.schema.json"))
+    assert obj["min_distance"] == min(w for w in dist if w)
+
+
 def test_gray_grid(capsys):
     rc, out = run(capsys, "gray", "--code", SD7, "--grid")
     assert rc == 0
@@ -255,24 +278,67 @@ def test_parse_label_rejects_stray_fields():
         cli.parse_label(FieldCtx(1), {"kind": "u_f", "s": "one"})
 
 
-SD7_J_BOOL = [c | {"j": True} if c["j"] == 1 else c
-              for c in json.loads(SD7)["components"]]
+def _with_j1(fields: dict) -> list[dict]:
+    """SD7's components, the one at j = 1 (a u_pow label) given fields."""
+    return [c | fields if c["j"] == 1 else c
+            for c in json.loads(SD7)["components"]]
 
 
-@pytest.mark.parametrize("change", [
-    {"n": 7.5}, {"n": "7"}, {"k": 2.9}, {"m": True}, {"n": 0}, {"k": -2},
-    {"extra": 1}, {"components": SD7_J_BOOL}],
-    ids=["n-float", "n-string", "k-float", "m-bool", "n-zero", "k-negative",
-         "unknown-key", "j-bool"])
-def test_descriptor_fields_match_schema(capsys, change):
-    # each of these breaks code_descriptor.schema.json, so the CLI refuses it
-    # (int() would read 7.5 as 7, "7" as 7, 2.9 as 2 and true as 1)
-    desc = json.loads(SD7) | change
-    with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(desc, schema("code_descriptor.schema.json"))
+SD7_J_BOOL = _with_j1({"j": True})
+SD7_MIXED = [{"j": 0, "kind": "u_f", "s": 0},
+             {"j": 1, "kind": "mixed_one", "i": 1, "t": 0, "omega": ["0x1"]},
+             {"j": 2, "kind": "mixed_one", "i": 1, "t": 0, "omega": ["0x1"]}]
+
+
+def _omega(entry) -> list[dict]:
+    return [c | {"omega": [entry]} if "omega" in c else c for c in SD7_MIXED]
+
+
+def _without_modulus() -> dict:
+    desc = json.loads(SD7)
+    del desc["modulus"]
+    return desc
+
+
+# One case list for both sides of the wire format: each change to SD7 is
+# either valid under code_descriptor.schema.json and accepted by the CLI, or
+# invalid there and refused with exit code 2.  (int() would read 7.5 as 7,
+# "7" as 7, 2.9 as 2, true as 1 and "0X3", "3" or "0x_3" as 3.)
+DESCRIPTOR_CASES = {
+    "n-float": ({"n": 7.5}, False),
+    "n-string": ({"n": "7"}, False),
+    "k-float": ({"k": 2.9}, False),
+    "m-bool": ({"m": True}, False),
+    "n-zero": ({"n": 0}, False),
+    "k-negative": ({"k": -2}, False),
+    "unknown-key": ({"extra": 1}, False),
+    "j-bool": ({"components": SD7_J_BOOL}, False),
+    "modulus-upper-prefix": ({"modulus": "0X3"}, False),
+    "modulus-no-prefix": ({"modulus": "3"}, False),
+    "modulus-underscore": ({"modulus": "0x_3"}, False),
+    "modulus-null": ({"modulus": None}, False),
+    "omega-no-prefix": ({"components": _omega("1")}, False),
+    "omega-null": ({"components": _with_j1({"omega": None})}, False),
+    "param-null": ({"components": _with_j1({"t": None})}, False),
+    "modulus-omitted": (None, True),
+    "modulus-given": ({"modulus": "0x3"}, True),
+    "omega-given": ({"components": SD7_MIXED}, True),
+}
+
+
+@pytest.mark.parametrize("case", list(DESCRIPTOR_CASES))
+def test_descriptor_fields_match_schema(capsys, case):
+    change, valid = DESCRIPTOR_CASES[case]
+    desc = _without_modulus() if change is None else json.loads(SD7) | change
+    validator = jsonschema.Draft202012Validator(
+        schema("code_descriptor.schema.json"))
+    assert validator.is_valid(desc) == valid
     for cmd in ("hull", "gray"):
         rc, out = run(capsys, cmd, "--code", json.dumps(desc))
-        assert rc == 2 and out == ""
+        if valid:
+            assert rc == 0 and json.loads(out)
+        else:
+            assert rc == 2 and out == ""
 
 
 def test_m_above_cap_exits_4(capsys):

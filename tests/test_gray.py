@@ -153,12 +153,47 @@ def test_min_distance_60_30_8(fdata):
     assert min_distance(gm, threads=2) == 8
 
 
-def test_min_distance_small(fdata):
-    fd = fdata(3, 1)
-    for code in enumerate_selfdual(3, 1, 2, fd):
+def _least_census_weight(gm) -> int:
+    """The oracle for min_distance: the census walk's least nonzero weight."""
+    return min(w for w in weight_distribution(gm, threads=2) if w)
+
+
+@pytest.mark.parametrize("n, m, modulus", [
+    (3, 1, None), (5, 1, None), (7, 1, None), (11, 1, None), (1, 2, None),
+    (3, 2, None), (5, 2, None), (1, 3, None), (3, 3, None), (1, 3, 0xd),
+    (3, 3, 0xd)])
+def test_min_distance_matches_census(fdata, n, m, modulus):
+    fd = fdata(n, m, modulus)
+    for code in enumerate_selfdual(n, m, 2, fd):
         gm = generator_matrix(code)
-        d = min_distance(gm)
-        assert d == min(w for w in weight_distribution(gm) if w)
+        assert min_distance(gm) == _least_census_weight(gm)
+
+
+@pytest.mark.parametrize("n, m", [(5, 1), (7, 1), (9, 1), (3, 2)])
+def test_min_distance_matches_census_arbitrary(fdata, n, m):
+    # arbitrary cyclic codes, not self-dual: every rank-1 image and a seeded
+    # sample of the rest whose walk has at most 2^20 words
+    pool = [c for c in enumerate_cyclic(n, m, 2, fdata(n, m))
+            if 0 < c.size_log2() <= 20]
+    rank1 = [c for c in pool if c.size_log2() == m]
+    assert rank1
+    for code in rank1 + random.Random(10 * n + m).sample(pool, 40):
+        gm = gray_image_matrix(code)
+        assert min_distance(gm) == _least_census_weight(gm)
+
+
+def test_min_distance_dimension_cap():
+    # the census's cap, m * rank <= 32, holds for min_distance too; repeated
+    # rows and zero columns do not count towards the rank
+    for m, rank in ((1, 32), (2, 16), (1, 33), (2, 17)):
+        rows = tuple(tuple(1 if c == r else 0 for c in range(40))
+                     for r in range(rank))
+        gm = GenMatrix(FieldCtx(m), 10, rows + rows)
+        if m * rank > 32:
+            with pytest.raises(DimensionTooLarge):
+                min_distance(gm)
+        else:
+            assert min_distance(gm) == 1
 
 
 def test_min_distance_of_zero_code(fdata):
