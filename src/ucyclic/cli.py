@@ -41,13 +41,16 @@ CSV; everything else is a single JSON object.  Matrix rows are hex-packed in
 the same m-bits-per-symbol convention.  All output is deterministic.
 
 Exit codes: 0 success; 2 usage error or malformed descriptor; 3 verification
-failure; 4 instance over a resource cap.  ``--threads`` (default from the
-UCYCLIC_THREADS environment variable) caps worker threads where supported.
+failure; 4 instance over a resource cap.  ``--threads`` caps worker threads
+where supported; left out, it is read from the UCYCLIC_THREADS environment
+variable when each command runs, not when the parser is built (the parser is
+built once per process and reused by every ``main`` call).
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -198,8 +201,9 @@ def _read_code_arg(text: str) -> sd.CyclicCode:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, separators=(", ", ": "))
-    sys.stdout.write("\n")
+    # json.dumps takes the C encoder; json.dump would stream through the
+    # pure-Python one.  The bytes are the same.
+    sys.stdout.write(json.dumps(obj, separators=(", ", ": ")) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +299,12 @@ def _gray_matrix(code: sd.CyclicCode) -> gr.GenMatrix:
 def _cmd_gray(args) -> int:
     code = _read_code_arg(args.code)
     gm = _gray_matrix(code)
+    threads = _default_threads() if args.threads is None else args.threads
     if args.mindist:
-        _emit({"min_distance": gr.min_distance(gm, threads=args.threads)})
+        _emit({"min_distance": gr.min_distance(gm, threads=threads)})
         return EXIT_OK
     if args.weights:
-        dist = gr.weight_distribution(gm, threads=args.threads)
+        dist = gr.weight_distribution(gm, threads=threads)
         _emit({"distribution": {str(w): dist[w] for w in sorted(dist)}})
         return EXIT_OK
     if args.grid:
@@ -496,6 +501,7 @@ def _hex_int(s: str) -> int:
 
 
 def _default_threads() -> int:
+    """UCYCLIC_THREADS as it reads now (1 if unset or not an integer)."""
     try:
         return max(1, int(os.environ.get("UCYCLIC_THREADS", "1")))
     except ValueError:
@@ -512,7 +518,11 @@ def _add_nmk(p, k: bool = True) -> None:
                    help="field modulus as hex bits (default per m)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    on it, and every default that reads the environment is resolved when a
+    command runs."""
     ap = argparse.ArgumentParser(
         prog="ucyclic",
         description="self-dual cyclic codes over F_{2^m}[u]/(u^k) "
@@ -572,7 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minimum distance, by information sets")
     p.add_argument("--grid", action="store_true",
                    help="plain-text matrix grid instead of JSON")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads (default: UCYCLIC_THREADS, else 1)")
     p.set_defaults(func=_cmd_gray)
 
     p = sub.add_parser("verify", help="run the brute-force oracle suite")

@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 
 from . import gf
 from .errors import TooLarge
-from .gf import (FieldCtx, Poly, P_ONE, P_X, poly_add, poly_degree,
-                 poly_divmod, poly_ext_gcd, poly_key, poly_mod, poly_mul,
-                 poly_mulmod, poly_powmod, poly_scale, poly_trim, reciprocal)
+from .gf import (FieldCtx, Poly, P_ONE, P_X, check_modulus, poly_add,
+                 poly_degree, poly_divmod, poly_ext_gcd, poly_key, poly_mod,
+                 poly_mul, poly_mulmod, poly_powmod, poly_scale, poly_trim,
+                 reciprocal)
 
 # Largest m accepted by factor_xn_minus_1: the field tables and the subfield
 # embedding of the splitting field hold 2^m entries each.
@@ -151,10 +152,10 @@ class FactorData:
     reciprocal(f_j) == delta_j * f_{mate[j]}, and ``idempotents[j]`` the CRT
     idempotent for the f_j^2 component of F_{2^m}[x]/(x^(2n)-1).
 
-    The per-factor constants below (``f_eps``, ``x_inv``, ``hat_basis``,
-    ``transport_basis``, ``theta1``) are derived on first use and kept on the
-    instance: every code built on this FactorData shares them, and nothing is
-    derived up front.
+    The idempotents and the per-factor constants below (``f_eps``, ``x_inv``,
+    ``hat_basis``, ``transport_basis``, ``theta1``) are derived on first use
+    and kept on the instance: every code built on this FactorData shares
+    them, and nothing is derived up front.
     """
 
     n: int
@@ -164,7 +165,6 @@ class FactorData:
     num_selfrec: int      # count of self-reciprocal factors (index 0 included)
     num_pairs: int        # count of reciprocal pairs
     delta: tuple[int, ...]
-    idempotents: tuple[Poly, ...] = field(default=None)
     _consts: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -201,6 +201,11 @@ class FactorData:
         if key not in self._consts:
             self._consts[key] = derive()
         return self._consts[key]
+
+    @property
+    def idempotents(self) -> tuple[Poly, ...]:
+        return self._once("idempotents", None,
+                          lambda: compute_idempotents(self))
 
     def f_eps(self, j: int) -> Poly:
         """f_j * idempotent_j mod x^(2n) - 1."""
@@ -240,12 +245,39 @@ class FactorData:
         return self._once("theta1", j, lambda: theta_set(self, j, 1))
 
 
-def factor_xn_minus_1(n: int, m: int, modulus: int | None = None) -> FactorData:
-    """Factor x^n - 1 over F_{2^m} and fix the component ordering."""
+def _check_nm(n: int, m: int) -> None:
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and >= 1")
     if m > MAX_M:
         raise TooLarge(f"m={m} is above the cap of {MAX_M}")
+
+
+def factor_degrees(n: int, m: int, fd: FactorData | None = None,
+                   modulus: int | None = None):
+    """Degrees of the self-reciprocal factors of x^n - 1 over F_{2^m} other
+    than x - 1, and of one member of each reciprocal pair, each ascending.
+
+    They come from the cosets mod n under 2^m alone, with nothing factored:
+    a coset is a factor of its size, and that factor is self-reciprocal iff
+    the coset holds minus its least element.  ``fd``, when given, supplies
+    n, m and the modulus.  The errors are those of :func:`factor_xn_minus_1`.
+    """
+    if fd is not None:
+        n, m, modulus = fd.n, fd.m, fd.ctx.modulus
+    _check_nm(n, m)
+    check_modulus(m, modulus)
+    selfrec, pairs = [], []
+    for c in cyclotomic_cosets(n, 1 << m)[1:]:
+        if -c[0] % n in c:
+            selfrec.append(len(c))
+        elif c[0] < min(-a % n for a in c):
+            pairs.append(len(c))
+    return sorted(selfrec), sorted(pairs)
+
+
+def factor_xn_minus_1(n: int, m: int, modulus: int | None = None) -> FactorData:
+    """Factor x^n - 1 over F_{2^m} and fix the component ordering."""
+    _check_nm(n, m)
     ctx = FieldCtx(m, modulus)
     sf = _SplittingField(ctx, n)
     raw = [_coset_factor(sf, c) for c in cyclotomic_cosets(n, ctx.order)]
@@ -282,10 +314,8 @@ def factor_xn_minus_1(n: int, m: int, modulus: int | None = None) -> FactorData:
     for j in range(lam):
         assert delta[j] == 1, "self-reciprocal factors must satisfy rec(f) == f"
 
-    fd = FactorData(n=n, m=m, ctx=ctx, factors=tuple(factors),
-                    num_selfrec=lam, num_pairs=eps, delta=tuple(delta))
-    fd.idempotents = compute_idempotents(fd)
-    return fd
+    return FactorData(n=n, m=m, ctx=ctx, factors=tuple(factors),
+                      num_selfrec=lam, num_pairs=eps, delta=tuple(delta))
 
 
 def compute_idempotents(fd: FactorData) -> tuple[Poly, ...]:

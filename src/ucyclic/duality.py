@@ -15,7 +15,7 @@ general-k duals are only available through the brute-force oracle.
 
 from __future__ import annotations
 
-from .cyclotomic import FactorData, factor_xn_minus_1
+from .cyclotomic import FactorData, factor_degrees, factor_xn_minus_1
 from .errors import UnsupportedK
 from .gf import P_ZERO
 from .ideals import IdealLabel
@@ -71,7 +71,7 @@ def dual_code(code: CyclicCode) -> CyclicCode:
     comps: list[IdealLabel | None] = [None] * fd.r
     for j, lab in enumerate(code.components):
         comps[fd.mate(j)] = mate_label(fd, j, lab, 2)
-    dual = CyclicCode(fd, 2, tuple(comps))
+    dual = CyclicCode._trusted(fd, 2, tuple(comps))
     assert code.size_log2() + dual.size_log2() == 4 * fd.m * fd.n, \
         "|C|*|C_dual| must equal |R|^(2n)"
     return dual
@@ -146,7 +146,7 @@ def hull(code: CyclicCode) -> CyclicCode:
         jm = fd.mate(j)
         comps[j], comps[jm] = _hull_pair(fd, j, code.components[j],
                                          code.components[jm])
-    return CyclicCode(fd, 2, tuple(comps))
+    return CyclicCode._trusted(fd, 2, tuple(comps))
 
 
 def hull_dimension(code: CyclicCode) -> int:
@@ -219,11 +219,10 @@ def count_selforthogonal(n: int, m: int,
     * prod over pairs of (15 + 5*2^(d_j m)); every factor brute-verified
     by the oracle censuses in the test suite.
     """
-    if fd is None:
-        fd = factor_xn_minus_1(n, m, modulus)
+    selfrec, pairs = factor_degrees(n, m, fd, modulus)
     total = 3 + (1 << m)
-    for j in range(1, fd.num_selfrec):
-        total *= 3 + (1 << (fd.degree(j) * m // 2))
-    for j in range(fd.num_selfrec, fd.num_selfrec + fd.num_pairs):
-        total *= 15 + 5 * (1 << (fd.degree(j) * m))
+    for d in selfrec:
+        total *= 3 + (1 << (d * m // 2))
+    for d in pairs:
+        total *= 15 + 5 * (1 << (d * m))
     return total

@@ -167,20 +167,27 @@ def _factorint(nval: int) -> tuple[int, ...]:
 # F_{2^m}
 # ---------------------------------------------------------------------------
 
+def check_modulus(m: int, modulus: int | None = None) -> int:
+    """The modulus of F_{2^m} (default per m); ValueError unless it is an
+    irreducible of degree m."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if modulus is None:
+        return default_modulus(m)
+    if f2x_degree(modulus) != m:
+        raise ValueError(f"modulus degree {f2x_degree(modulus)} != m={m}")
+    if not f2x_is_irreducible(modulus):
+        raise ValueError(f"modulus {modulus:#x} is reducible")
+    return modulus
+
+
 class FieldCtx:
     """The field F_{2^m} = F_2[y]/(modulus), elements as ints < 2^m."""
 
     __slots__ = ("m", "modulus", "order", "_exp", "_log")
 
     def __init__(self, m: int, modulus: int | None = None):
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        if modulus is None:
-            modulus = default_modulus(m)
-        if f2x_degree(modulus) != m:
-            raise ValueError(f"modulus degree {f2x_degree(modulus)} != m={m}")
-        if not f2x_is_irreducible(modulus):
-            raise ValueError(f"modulus {modulus:#x} is reducible")
+        modulus = check_modulus(m, modulus)
         self.m = m
         self.modulus = modulus
         self.order = 1 << m

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import quotient as qt
-from .cyclotomic import FactorData, factor_xn_minus_1
+from .cyclotomic import FactorData, factor_degrees, factor_xn_minus_1
 from .errors import BadDescriptor, UnsupportedK
 from .gf import (P_ONE, P_X, P_ZERO, Poly, find_primitive, poly_key,
                  poly_mulmod)
@@ -50,6 +50,9 @@ class CyclicCode:
     pair partners included).  Equality and hashing use (k, components) only;
     two codes built from the same FactorData are equal iff they are the same
     set of codewords.
+
+    ``CyclicCode(...)`` checks every label; codes that this package builds
+    from labels it made or already holds come from :meth:`_trusted`.
     """
 
     fd: FactorData = field(compare=False)
@@ -62,6 +65,16 @@ class CyclicCode:
                 f"need {self.fd.r} component labels, got {len(self.components)}")
         for j, label in enumerate(self.components):
             validate_label(label, self.k, self.fd.degree(j))
+
+    @classmethod
+    def _trusted(cls, fd: FactorData, k: int,
+                 components: tuple[IdealLabel, ...]) -> "CyclicCode":
+        """A code from labels known to be canonical, built unchecked."""
+        code = object.__new__(cls)
+        object.__setattr__(code, "fd", fd)
+        object.__setattr__(code, "k", k)
+        object.__setattr__(code, "components", components)
+        return code
 
     @property
     def n(self) -> int:
@@ -250,7 +263,8 @@ def assemble_codes(fd: FactorData, k: int, selfrec, pairs):
              + [list(pairs(j)) for j in range(lam, lam + fd.num_pairs)])
     for choice in itertools.product(*lists):
         # self-reciprocal labels, then the pair labels, then their mates
-        yield CyclicCode(fd, k, sum(zip(*choice[lam:]), choice[:lam]))
+        yield CyclicCode._trusted(fd, k,
+                                  sum(zip(*choice[lam:]), choice[:lam]))
 
 
 def enumerate_selfdual(n: int, m: int, k: int,
@@ -276,14 +290,12 @@ def count_selfdual(n: int, m: int, k: int,
     """Number of self-dual cyclic codes of length 2n over F_{2^m}[u]/(u^k)."""
     if k < 2:
         raise UnsupportedK("self-duality needs k >= 2")
-    if fd is None:
-        fd = factor_xn_minus_1(n, m, modulus)
+    selfrec, pairs = factor_degrees(n, m, fd, modulus)
     total = sum(1 << (m * s) for s in range(k // 2 + 1))
-    for j in range(1, fd.num_selfrec):
-        d = fd.degree(j)
+    for d in selfrec:
         total *= sum(1 << (d * m * s // 2) for s in range(k // 2 + 1))
-    for j in range(fd.num_selfrec, fd.num_selfrec + fd.num_pairs):
-        total *= count_ideals(1 << (fd.degree(j) * m), k)
+    for d in pairs:
+        total *= count_ideals(1 << (d * m), k)
     return total
 
 
@@ -299,17 +311,16 @@ def enumerate_cyclic(n: int, m: int, k: int,
         fd = factor_xn_minus_1(n, m, modulus)
     per_factor = [list(enumerate_ideals(fd, j, k)) for j in range(fd.r)]
     for combo in itertools.product(*per_factor):
-        yield CyclicCode(fd, k, tuple(combo))
+        yield CyclicCode._trusted(fd, k, combo)
 
 
 def count_cyclic(n: int, m: int, k: int,
                  fd: FactorData | None = None,
                  modulus: int | None = None) -> int:
-    if fd is None:
-        fd = factor_xn_minus_1(n, m, modulus)
+    selfrec, pairs = factor_degrees(n, m, fd, modulus)
     total = 1
-    for j in range(fd.r):
-        total *= count_ideals(1 << (fd.degree(j) * m), k)
+    for d in [1] + selfrec + pairs + pairs:
+        total *= count_ideals(1 << (d * m), k)
     return total
 
 
@@ -546,7 +557,7 @@ def family_60_30_8(fd: FactorData | None = None) -> list[CyclicCode]:
     for (c1, c3) in c1_c3:
         for c2 in c2_choices:
             for (c4, c5) in pair_choices:
-                out.append(CyclicCode(fd, 2, (c1, c2, c3, c4, c5)))
+                out.append(CyclicCode._trusted(fd, 2, (c1, c2, c3, c4, c5)))
     assert len(out) == 48
     return out
 

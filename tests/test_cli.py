@@ -1,13 +1,22 @@
 """The command-line surface: wire formats, schemas, exit codes, determinism."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import re
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucyclic import cli
+from ucyclic import gray as gr
+from ucyclic.gf import f2x_degree, f2x_is_irreducible
+from ucyclic.ideals import KINDS
 from ucyclic.selfdual import enumerate_cyclic, enumerate_selfdual, is_self_dual
 
 
@@ -123,9 +132,12 @@ def test_enum_selforth_limit(capsys):
 
 def test_descriptor_roundtrip_m2(capsys):
     # omegas over F_4 exercise the m-bit hex packing
+    sch = schema("code_descriptor.schema.json")
+    jsonschema.Draft202012Validator.check_schema(sch)
+    validator = jsonschema.Draft202012Validator(sch)
     for code in enumerate_cyclic(3, 2, 2):
         desc = cli.format_code(code)
-        jsonschema.validate(desc, schema("code_descriptor.schema.json"))
+        validator.validate(desc)
         assert cli.parse_code(desc) == code
 
 
@@ -359,3 +371,218 @@ def test_k_below_one_exits_2(capsys):
                  ["enum-ideals", "--q", "4", "--k", "0"]):
         rc, out = run(capsys, *argv)
         assert rc == 2 and out == "", argv
+
+
+# ---------------------------------------------------------------------------
+# one parser per process; the wire bytes of the JSON emitter
+# ---------------------------------------------------------------------------
+
+def call(argv):
+    """cli.main in-process without a pytest fixture: (exit code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_threads_read_from_environment_per_call(capsys, monkeypatch):
+    seen = []
+    real = gr.weight_distribution
+
+    def record(gm, threads=1):
+        seen.append(threads)
+        return real(gm, threads=1)
+
+    monkeypatch.setattr(gr, "weight_distribution", record)
+    for env, flag in (("2", []), ("3", []), (None, []),
+                      ("3", ["--threads", "4"]), ("x", []), ("5", [])):
+        if env is None:
+            monkeypatch.delenv("UCYCLIC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("UCYCLIC_THREADS", env)
+        rc, _ = run(capsys, "gray", "--code", SD7, "--weights", *flag)
+        assert rc == 0
+    assert seen == [2, 3, 1, 4, 1, 5]
+
+
+# commands whose options could leak from one parse into the next
+ALTERNATING = [
+    ["gray", "--code", SD7, "--weights", "--threads", "2"],
+    ["gray", "--code", SD7],
+    ["gray", "--code", SD7, "--grid"],
+    ["gray", "--code", SD7, "--mindist"],
+    ["hull", "--code", SD7],
+    ["enum-selfdual", "--n", "7", "--m", "1", "--k", "2", "--limit", "3"],
+    ["enum-selfdual", "--n", "7", "--m", "1", "--k", "2"],
+    ["factor", "--n", "7", "--m", "3", "--modulus", "d"],
+    ["factor", "--n", "7", "--m", "3"],
+    ["enum-ideals", "--q", "4", "--k", "3", "--limit", "2"],
+    ["enum-ideals", "--q", "4", "--k", "3"],
+    ["tables", "--lk"],
+    ["count-selforth", "--n", "7", "--m", "1"],
+]
+
+
+def test_alternating_subcommands_leak_no_state():
+    first = {" ".join(argv): call(argv) for argv in ALTERNATING}
+    # no --limit 3 left over, and --modulus d not kept for the next factor
+    assert len(first["enum-selfdual --n 7 --m 1 --k 2"][1].splitlines()) == 39
+    assert '"modulus": "0xb"' in first["factor --n 7 --m 3"][1]
+    for order in (ALTERNATING[::-1], ALTERNATING[1::2] + ALTERNATING[::2]):
+        for argv in order:
+            assert call(argv) == first[" ".join(argv)], argv
+
+
+def _json_dump_emit(obj) -> None:
+    # the emitter before json.dumps: json.dump through the Python encoder
+    json.dump(obj, sys.stdout, separators=(", ", ": "))
+    sys.stdout.write("\n")
+
+
+WIRE = [
+    ["enum-selfdual", "--n", "3", "--m", "2", "--k", "4"],
+    ["enum-selfdual", "--n", "3", "--m", "3", "--k", "2", "--modulus", "d"],
+    ["enum-selforth", "--n", "5", "--m", "1"],
+    ["enum-ideals", "--q", "4", "--k", "3"],
+    ["factor", "--n", "15", "--m", "1"],
+    ["factor", "--n", "9", "--m", "2"],
+    ["factor", "--n", "7", "--m", "3", "--modulus", "d"],
+    ["hull", "--code", SD7],
+    ["gray", "--code", SD7],
+    ["gray", "--code", SD7, "--weights"],
+    ["gray", "--code", SD7, "--mindist"],
+]
+
+
+def test_wire_bytes_match_json_dump(monkeypatch):
+    for argv in WIRE + [[cmd, "--code", json.dumps(cli.format_code(code))]
+                        for code in list(enumerate_cyclic(3, 2, 2))[::97]
+                        for cmd in ("hull", "gray")]:
+        rc, out, err = call(argv)
+        assert rc == 0 and out and not err, argv
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "_emit", _json_dump_emit)
+            assert call(argv) == (rc, out, err), argv
+    factor = json.loads(call(WIRE[6])[1])
+    assert len(factor["idempotents"]) == len(factor["factors"]) == 7
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the descriptor boundary: every mutation below is malformed
+# ---------------------------------------------------------------------------
+
+FUZZ_BASES = [
+    json.loads(SD7),
+    json.loads(SD7) | {"components": SD7_MIXED},
+    {"n": 3, "m": 2, "k": 4, "modulus": "0x7", "components": [
+        {"j": 0, "kind": "mixed_one", "i": 2, "t": 0, "omega": ["0x1", "0x0"]},
+        {"j": 1, "kind": "mixed_one", "i": 1, "t": 0, "omega": ["0x1"]},
+        {"j": 2, "kind": "mixed_one", "i": 3, "t": 2, "omega": ["0x3"]}]},
+    {"n": 3, "m": 3, "k": 2, "modulus": "0xd", "components": [
+        {"j": 0, "kind": "mixed_one", "i": 1, "t": 0, "omega": ["0x1"]},
+        {"j": 1, "kind": "mixed_one", "i": 1, "t": 0, "omega": ["0x9"]}]},
+]
+
+NOT_INT = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.lists(st.integers(0, 9), max_size=2),
+                    st.dictionaries(st.text(max_size=2), st.integers(0, 9),
+                                    max_size=1))
+NOT_HEX = st.one_of(NOT_INT.filter(lambda v: not isinstance(v, str)),
+                    st.text(max_size=6).filter(
+                        lambda v: not re.fullmatch(r"0x[0-9a-f]+", v)))
+ANY_INT = st.integers(-10 ** 6, 10 ** 6)
+
+
+def _replace(desc, c, fields, drop=()):
+    comps = [dict(e) for e in desc["components"]]
+    comps[c] = {key: v for key, v in (comps[c] | fields).items()
+                if key not in drop}
+    return desc | {"components": comps}
+
+
+@st.composite
+def malformed(draw):
+    desc = draw(st.sampled_from(FUZZ_BASES))
+    n, m, k = desc["n"], desc["m"], desc["k"]
+    comps = desc["components"]
+    c = draw(st.integers(0, len(comps) - 1))
+    comp = comps[c]
+    kind = draw(st.sampled_from([
+        "drop", "retype", "range", "stray", "modulus", "components",
+        "drop-component", "j", "kind", "param", "omega"]))
+    if kind == "drop":
+        field = draw(st.sampled_from(["n", "m", "k", "components"]))
+        return {key: v for key, v in desc.items() if key != field}
+    if kind == "retype":
+        field = draw(st.sampled_from(["n", "m", "k"]))
+        return desc | {field: draw(NOT_INT)}
+    if kind == "range":
+        field = draw(st.sampled_from(["n", "m", "k"]))
+        bad = st.integers(-10 ** 6, 0)
+        if field == "n":
+            bad |= st.integers(1, 50).map(lambda v: 2 * v)
+        return desc | {field: draw(bad)}
+    if kind == "stray":
+        key = draw(st.text(min_size=1, max_size=5).filter(
+            lambda v: v not in desc))
+        return desc | {key: draw(ANY_INT)}
+    if kind == "modulus":
+        wrong = st.integers(0, 1 << (m + 3)).filter(
+            lambda v: not (f2x_degree(v) == m and f2x_is_irreducible(v)))
+        return desc | {"modulus": draw(NOT_HEX | wrong.map(hex))}
+    if kind == "components":
+        return desc | {"components": draw(
+            NOT_INT.filter(lambda v: not isinstance(v, list))
+            | st.lists(NOT_INT, min_size=1, max_size=3))}
+    if kind == "drop-component":
+        return desc | {"components": comps[:c] + comps[c + 1:]}
+    if kind == "j":
+        others = [e["j"] for e in comps if e is not comp]
+        j = draw(st.sampled_from(others) | st.integers(len(comps), 10 ** 6)
+                 | st.integers(-10 ** 6, -1) | NOT_INT)
+        return _replace(desc, c, {"j": j})
+    if kind == "kind":
+        if draw(st.booleans()):
+            return _replace(desc, c, {}, drop=("kind",))
+        return _replace(desc, c, {"kind": draw(
+            NOT_INT | st.text(max_size=8).filter(lambda v: v not in KINDS))})
+    if kind == "param":
+        # i, t and s sit in [0, k - 1] (u_pow's i in [0, k]); a kind that
+        # takes no such parameter refuses one
+        name = draw(st.sampled_from(["i", "t", "s"]))
+        value = draw(st.integers(k + 1, 10 ** 6) | st.integers(-10 ** 6, -1)
+                     | NOT_INT)
+        return _replace(desc, c, {name: value})
+    # omega: not a list, bad hex, wrong length, degree >= n, or zero unit
+    if "omega" not in comp:
+        return _replace(desc, c, {"omega": ["0x1"]})
+    omega = list(comp["omega"])
+    at = draw(st.integers(0, len(omega) - 1))
+    how = draw(st.sampled_from(["type", "hex", "long", "short", "degree",
+                                "zero"]))
+    if how == "type":
+        omega = draw(NOT_INT.filter(lambda v: not isinstance(v, list)))
+    elif how == "hex":
+        omega[at] = draw(NOT_HEX)
+    elif how == "long":
+        omega += draw(st.lists(st.just("0x1"), min_size=1, max_size=2))
+    elif how == "short":
+        omega = omega[:at]
+    elif how == "degree":
+        omega[at] = hex(draw(st.integers(1, 1 << m)) << (m * n))
+    else:
+        omega[0] = "0x0"
+    return _replace(desc, c, {"omega": omega})
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(malformed())
+def test_malformed_descriptors_exit_2(desc):
+    text = json.dumps(desc)
+    for cmd in ("hull", "gray"):
+        assert call([cmd, "--code", text])[:2] == (2, ""), text

@@ -5,7 +5,11 @@ import pytest
 
 from ucyclic.gf import (P_ONE, poly_add, poly_degree, poly_key, poly_mod,
                         poly_monic, poly_mul, poly_mulmod, reciprocal)
-from ucyclic.cyclotomic import cyclotomic_cosets, factor_xn_minus_1
+from ucyclic.cyclotomic import (MAX_M, cyclotomic_cosets, factor_degrees,
+                                factor_xn_minus_1)
+from ucyclic.duality import count_selforthogonal
+from ucyclic.errors import TooLarge
+from ucyclic.selfdual import count_cyclic, count_selfdual
 
 
 def xn_minus_1(n: int):
@@ -101,3 +105,34 @@ def test_modulus_override(fdata):
     assert fd_a.ctx.modulus == 0x13 and fd_b.ctx.modulus == 0x19
     assert fd_a.r == fd_b.r == 3   # x^3-1 splits into linears over F_16
     assert all(fd_a.degree(j) == 1 for j in range(3))
+
+
+@pytest.mark.parametrize("m, modulus", [(1, None), (2, None), (3, None),
+                                        (3, 0xd)])
+def test_factor_degrees_match_factoring(fdata, m, modulus):
+    # the coset route (nothing factored) against the factored FactorData
+    for n in range(1, 50, 2):
+        fd = fdata(n, m, modulus)
+        lam, eps = fd.num_selfrec, fd.num_pairs
+        assert factor_degrees(n, m, None, modulus) == (
+            [fd.degree(j) for j in range(1, lam)],
+            [fd.degree(j) for j in range(lam, lam + eps)]), (n, m, modulus)
+
+
+@pytest.mark.parametrize("n, m, modulus, error", [
+    (4, 1, None, ValueError),          # even n
+    (-3, 1, None, ValueError),
+    (3, 0, None, ValueError),          # m below 1
+    (3, MAX_M + 1, None, TooLarge),
+    (7, 3, 0xf, ValueError),           # reducible: (y + 1)(y^2 + y + 1)
+    (7, 3, 0x13, ValueError),          # degree 4, not 3
+])
+def test_counts_refuse_what_factoring_refuses(n, m, modulus, error):
+    with pytest.raises(error) as want:
+        factor_xn_minus_1(n, m, modulus)
+    for count in (lambda: count_selfdual(n, m, 2, None, modulus),
+                  lambda: count_selforthogonal(n, m, None, modulus),
+                  lambda: count_cyclic(n, m, 2, None, modulus)):
+        with pytest.raises(error) as got:
+            count()
+        assert str(got.value) == str(want.value)

@@ -5,10 +5,11 @@ import itertools
 
 import pytest
 
+from ucyclic import duality as du
 from ucyclic import quotient as qt
 from ucyclic.errors import BadDescriptor, UnsupportedK
 from ucyclic.gf import poly_key
-from ucyclic.ideals import IdealLabel, enumerate_ideals
+from ucyclic.ideals import IdealLabel, enumerate_ideals, validate_label
 from ucyclic.oracle import brute_is_selfdual, span_code
 from ucyclic.selfdual import (CyclicCode, count_cyclic, count_selfdual,
                               enumerate_cyclic, enumerate_selfdual,
@@ -153,6 +154,38 @@ def test_cyclic_code_validation(fdata):
     with pytest.raises(ValueError):
         CyclicCode(fd, 2, (IdealLabel("u_pow", i=9),
                            IdealLabel("u_pow", i=1)))    # out of range
+
+
+def _assert_canonical(code):
+    assert len(code.components) == code.fd.r
+    for j, label in enumerate(code.components):
+        validate_label(label, code.k, code.fd.degree(j))
+
+
+@pytest.mark.parametrize("n, m, modulus", [(3, 1, None), (7, 1, None),
+                                           (3, 2, None), (3, 3, 0xd),
+                                           (7, 3, 0xd)])
+def test_package_built_codes_are_canonical(fdata, n, m, modulus):
+    # these codes skip the validate_label pass of CyclicCode(...), so the
+    # labels they carry are checked here instead
+    fd = fdata(n, m, modulus)
+    for k in range(2, 6):
+        for code in itertools.islice(enumerate_selfdual(n, m, k, fd), 6000):
+            _assert_canonical(code)
+    for code in itertools.islice(du.enumerate_selforthogonal(n, m, fd), 6000):
+        _assert_canonical(code)
+    for code in itertools.islice(enumerate_cyclic(n, m, 2, fd), 2000):
+        _assert_canonical(code)
+        _assert_canonical(du.dual_code(code))
+        _assert_canonical(du.hull(code))
+    for k in (1, 3):
+        for code in itertools.islice(enumerate_cyclic(n, m, k, fd), 2000):
+            _assert_canonical(code)
+
+
+def test_family_60_30_8_is_canonical(fdata):
+    for code in family_60_30_8(fdata(15, 1)):
+        _assert_canonical(code)
 
 
 def test_count_cyclic(fdata):
