@@ -290,9 +290,15 @@ def _cmd_hull(args) -> int:
 
 
 def _gray_matrix(code: sd.CyclicCode) -> gr.GenMatrix:
-    """Structured matrix for self-dual codes, row reduction otherwise."""
-    if code.k == 2 and sd.is_self_dual(code):
-        return gr.generator_matrix(code)
+    """Structured matrix for self-dual codes, row reduction otherwise.
+
+    ``generator_matrix`` makes the one self-duality test of the call.
+    """
+    if code.k == 2:
+        try:
+            return gr.generator_matrix(code)
+        except NotSelfDual:
+            pass
     return gr.gray_image_matrix(code)
 
 

@@ -13,6 +13,7 @@ hard 2^24 cap (:class:`ucyclic.errors.TooLarge`).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,26 +31,33 @@ WORDS_CAP_LOG2 = 20
 def rref_bits(rows, ncols: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
-    Pivots are chosen from the high bit down so rows stay sorted descending.
+    Rows must lie below bit ``ncols``.  Each row is reduced into a map from
+    leading bit to pivot row, then one pass upward from the lowest pivot
+    clears every pivot bit off the rows above it.  Rows and pivots come out
+    sorted descending.
     """
-    mat = [int(r) for r in rows]
-    res: list[int] = []
-    pivots: list[int] = []
-    for c in range(ncols - 1, -1, -1):
-        bit = 1 << c
-        src = None
-        for idx, r in enumerate(mat):
-            if r & bit:
-                src = idx
+    piv: dict[int, int] = {}
+    for r in rows:
+        v = int(r)
+        while v:
+            top = v.bit_length() - 1
+            row = piv.get(top)
+            if row is None:
+                piv[top] = v
                 break
-        if src is None:
-            continue
-        piv = mat.pop(src)
-        mat = [r ^ piv if r & bit else r for r in mat]
-        res = [r ^ piv if r & bit else r for r in res]
-        res.append(piv)
-        pivots.append(c)
-    return res, pivots
+            v ^= row
+    below = 0                                    # pivot bits already reduced
+    for p in sorted(piv):
+        row = piv[p]
+        hits = row & below
+        while hits:
+            q = hits.bit_length() - 1
+            row ^= piv[q]                        # piv[q] has no other pivot bit
+            hits ^= 1 << q
+        piv[p] = row
+        below |= 1 << p
+    pivots = sorted(piv, reverse=True)
+    return [piv[p] for p in pivots], pivots
 
 
 def nullspace_bits(rows, ncols: int) -> list[int]:
@@ -214,35 +222,37 @@ def _r_mul(ctx: FieldCtx, k: int, a: int, b: int) -> int:
     return out
 
 
-def _inner(ctx: FieldCtx, n: int, k: int, v: int, w: int) -> int:
-    """Euclidean inner product over R of two packed vectors."""
-    step = k * ctx.m
-    mask = (1 << step) - 1
-    out = 0
-    for c in range(2 * n):
-        vc = (v >> (c * step)) & mask
-        if vc:
-            wc = (w >> (c * step)) & mask
-            if wc:
-                out ^= _r_mul(ctx, k, vc, wc)
-    return out
-
-
 def brute_dual(code: DenseCode, modulus: int | None = None) -> DenseCode:
-    """Euclidean dual, via the F_2 linear system <b, v> = 0 in R."""
+    """Euclidean dual, via the F_2 linear system <b, v> = 0 in R.
+
+    Bit j of v lies in coordinate c = j // (k*m) at position t = j % (k*m),
+    so <b, e_j> = b_c * e_t: the constraint rows of b are assembled one
+    coordinate at a time from the products of the symbol b_c with the k*m
+    unit symbols, computed once per distinct nonzero symbol value.
+    """
     ctx = FieldCtx(code.m, modulus)
-    nbits = code.nbits
-    out_bits = code.k * code.m
+    k = code.k
+    step = k * code.m
+    mask = (1 << step) - 1
+    blocks: dict[int, list[int]] = {}   # symbol -> one bit block per output bit
     rows = []
     for b in code.basis:
-        # functional v -> bits of <b, v>, one constraint row per output bit
-        cols = [_inner(ctx, code.n, code.k, b, 1 << j) for j in range(nbits)]
-        for o in range(out_bits):
-            row = 0
-            for j, val in enumerate(cols):
-                if (val >> o) & 1:
-                    row |= 1 << j
-            rows.append(row)
+        acc = [0] * step                 # functional v -> bit o of <b, v>
+        for c in range(2 * code.n):
+            bc = (b >> (c * step)) & mask
+            if not bc:
+                continue
+            blk = blocks.get(bc)
+            if blk is None:
+                prods = [_r_mul(ctx, k, bc, 1 << t) for t in range(step)]
+                blk = blocks[bc] = [
+                    sum(((p >> o) & 1) << t for t, p in enumerate(prods))
+                    for o in range(step)]
+            shift = c * step
+            for o in range(step):
+                acc[o] |= blk[o] << shift
+        rows += acc
+    nbits = code.nbits
     return DenseCode(code.n, code.m, code.k,
                      _canon(nullspace_bits(rows, nbits), nbits))
 
@@ -339,12 +349,15 @@ def theta_congruence_filter(fd, j: int, s: int):
     """Units w of F_j[u]/(u^s) with w + delta_j x^(2n-d_j) w(x^(-1)) = 0.
 
     Enumerate-and-filter route to the self-dual unit parameter sets, fully
-    independent of the closed-form construction in :mod:`ucyclic.selfdual`
-    (the reciprocal substitution is applied literally, u-slot by u-slot).
+    independent of the closed-form construction in :mod:`ucyclic.selfdual`.
+    The substitution acts on each u-coefficient on its own, so it is applied
+    literally once per field element a of F_j (a + delta_j x^(2n-d_j) a(x^(-1))
+    computed and compared with 0); then every unit (a_0, ..., a_(s-1)) is
+    walked in counter order, a_0 fastest, and kept iff every slot passed.
     Only meaningful on self-reciprocal components.
     """
     from . import quotient as qt
-    from .gf import poly_add, poly_scale
+    from .gf import poly_add, poly_from_key, poly_scale
 
     if not 0 <= j < fd.num_selfrec:
         raise ValueError(f"component {j} is not self-reciprocal")
@@ -354,14 +367,12 @@ def theta_congruence_filter(fd, j: int, s: int):
     ring = qt.field_ring(fd, j)
     xfac = ring.pow((0, 1), 2 * fd.n - d)       # x^(2n-d) reduced mod f_j
     delta = fd.delta[j]
+    good = [not poly_add(a, poly_scale(fd.ctx, ring.mul(xfac, qt.hat(fd, j, a)),
+                                       delta))
+            for a in ring.elements()]
     out = []
-    for w in qt.u_units(ring, s):
-        ok = True
-        for a in w:
-            img = ring.mul(xfac, qt.hat(fd, j, a))
-            if poly_add(a, poly_scale(fd.ctx, img, delta)):
-                ok = False
-                break
-        if ok:
-            out.append(w)
+    for digits in itertools.product(range(ring.size()), repeat=s):
+        w = digits[::-1]                         # a_0 varies fastest
+        if w[0] and all(good[a] for a in w):
+            out.append(tuple(poly_from_key(fd.ctx, a) for a in w))
     return out

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from ucyclic import cli
 from ucyclic import gray as gr
+from ucyclic import selfdual as sd
 from ucyclic.gf import f2x_degree, f2x_is_irreducible
 from ucyclic.ideals import KINDS
 from ucyclic.selfdual import enumerate_cyclic, enumerate_selfdual, is_self_dual
@@ -221,6 +222,34 @@ def test_gray_non_selfdual_falls_back(capsys):
     assert rc == 0
     obj = json.loads(out)
     assert obj["rank"] == 12            # the full ambient space
+
+
+K3_CODE = json.dumps({
+    "n": 1, "m": 1, "k": 3, "modulus": "0x3",
+    "components": [{"j": 0, "kind": "u_pow", "i": 1}]})
+
+
+@pytest.mark.parametrize("desc,calls,rc_want", [
+    (SD7, 1, 0),                                    # self-dual
+    (json.dumps({"n": 3, "m": 1, "k": 2, "modulus": "0x3",
+                 "components": [{"j": 0, "kind": "u_pow", "i": 0},
+                                {"j": 1, "kind": "u_pow", "i": 0}]}), 1, 0),
+    (K3_CODE, 0, 2),                                # no Gray map at k = 3
+], ids=["selfdual", "not-selfdual", "k3"])
+def test_gray_tests_self_duality_once(capsys, monkeypatch, desc, calls,
+                                      rc_want):
+    seen = []
+    real = sd.is_self_dual
+
+    def counting(code):
+        seen.append(code)
+        return real(code)
+
+    monkeypatch.setattr(gr, "is_self_dual", counting)
+    monkeypatch.setattr(sd, "is_self_dual", counting)
+    rc, _ = run(capsys, "gray", "--code", desc)
+    assert rc == rc_want
+    assert len(seen) == calls
 
 
 def test_gray_code_from_file(tmp_path, capsys):

@@ -6,15 +6,18 @@ import random
 
 import pytest
 
+from ucyclic import quotient as qt
 from ucyclic.errors import TooLarge
+from ucyclic.gf import FieldCtx, poly_add, poly_scale
 from ucyclic.ideals import count_ideals
-from ucyclic.oracle import (AMBIENT_CAP_LOG2, DenseCode, ambient_maps,
-                            brute_all_ideals, brute_component_ideals,
-                            brute_dual, brute_intersect, brute_is_selfdual,
+from ucyclic.oracle import (AMBIENT_CAP_LOG2, DenseCode, _canon, _r_mul,
+                            ambient_maps, brute_all_ideals,
+                            brute_component_ideals, brute_dual,
+                            brute_intersect, brute_is_selfdual,
                             brute_is_selforthogonal, map_closure,
                             nullspace_bits, rref_bits, span_code, span_words,
                             theta_congruence_filter)
-from ucyclic.selfdual import theta_set
+from ucyclic.selfdual import count_selfdual, theta_set
 
 
 def test_rref_bits():
@@ -135,6 +138,13 @@ def test_component_census_q4(fdata):
     assert len(brute_component_ideals(fd, 1, 2)) == 9 == count_ideals(4, 2)
 
 
+@pytest.mark.parametrize("k", [6, 7])
+def test_selfdual_census_brute_high_k(k):
+    # every cyclic code of length 2 over F_2[u]/(u^k), dual by linear algebra
+    got = sum(brute_is_selfdual(c) for c in brute_all_ideals(1, 1, k))
+    assert got == 15 == count_selfdual(1, 1, k)
+
+
 def test_all_ideals_census(fdata):
     # length-2 codes over F_2+uF_2: 7 cyclic codes (ideals of R[x]/(x^2-1))
     assert len(brute_all_ideals(1, 1, 2)) == 7
@@ -155,3 +165,80 @@ def test_theta_congruence_rejects_pairs(fdata):
     fd = fdata(7, 1)
     with pytest.raises(ValueError):
         theta_congruence_filter(fd, 1, 1)   # j = 1 is a pair representative
+
+
+def _theta_whole_units(fd, j, s):
+    """Every unit of F_j[u]/(u^s), with the substitution applied to each
+    coefficient of each unit (the reference for the per-element verdicts)."""
+    ring = qt.field_ring(fd, j)
+    xfac = ring.pow((0, 1), 2 * fd.n - fd.degree(j))
+    out = []
+    for w in qt.u_units(ring, s):
+        if all(not poly_add(a, poly_scale(fd.ctx,
+                                          ring.mul(xfac, qt.hat(fd, j, a)),
+                                          fd.delta[j]))
+               for a in w):
+            out.append(w)
+    return out
+
+
+# the (n, m) of test_10_theta_set_exactness, plus m = 3 under y^3 + y^2 + 1
+@pytest.mark.parametrize("n,m,modulus", [(3, 1, None), (5, 1, None),
+                                         (7, 1, None), (9, 1, None),
+                                         (15, 1, None), (1, 2, None),
+                                         (5, 2, None), (3, 3, None),
+                                         (3, 3, 0xd)])
+def test_theta_congruence_matches_whole_unit_loop(fdata, n, m, modulus):
+    fd = fdata(n, m, modulus)
+    cases = 0
+    for j in range(fd.num_selfrec):
+        for s in (1, 2, 3, 4):
+            if fd.degree(j) * m * s <= 12:
+                assert theta_congruence_filter(fd, j, s) == \
+                    _theta_whole_units(fd, j, s)
+                cases += 1
+    assert cases
+
+
+def _inner(ctx, n, k, v, w):
+    """Euclidean inner product over R of two packed vectors, whole-vector."""
+    step = k * ctx.m
+    mask = (1 << step) - 1
+    out = 0
+    for c in range(2 * n):
+        vc = (v >> (c * step)) & mask
+        wc = (w >> (c * step)) & mask
+        if vc and wc:
+            out ^= _r_mul(ctx, k, vc, wc)
+    return out
+
+
+def _dual_by_columns(code, ctx):
+    """Dual from the columns <b, e_j>, each a full inner product."""
+    rows = []
+    for b in code.basis:
+        cols = [_inner(ctx, code.n, code.k, b, 1 << j)
+                for j in range(code.nbits)]
+        rows += [sum(((val >> o) & 1) << j for j, val in enumerate(cols))
+                 for o in range(code.k * code.m)]
+    return _canon(nullspace_bits(rows, code.nbits), code.nbits)
+
+
+# every ambient space of at most 2^12 words named here, m = 3 under 0xd
+DUAL_AMBIENTS = [(3, 1, 2, None), (1, 2, 3, None), (1, 3, 2, 0xd)] + \
+    [(1, 1, k, None) for k in range(1, 7)]
+
+
+@pytest.mark.parametrize("n,m,k,modulus", DUAL_AMBIENTS)
+def test_brute_dual_matches_inner_products(n, m, k, modulus):
+    ctx = FieldCtx(m, modulus)
+    codes = brute_all_ideals(n, m, k, modulus)
+    nbits = codes[0].nbits
+    assert nbits <= 12
+    for code in codes:
+        dual = brute_dual(code, modulus)
+        assert dual.basis == _dual_by_columns(code, ctx)
+        walked = {v for v in range(1 << nbits)
+                  if not any(_inner(ctx, n, k, b, v) for b in code.basis)}
+        assert dual.words() == walked
+        assert code.rank + dual.rank == nbits     # |C| |C^perp| = |R|^(2n)

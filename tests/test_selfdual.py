@@ -100,6 +100,9 @@ COUNTS = [
     (1, 1, 2, 3), (3, 1, 2, 9), (7, 1, 2, 39), (15, 1, 2, 945),
     (9, 1, 2, 81), (1, 2, 2, 5), (1, 1, 3, 3), (1, 1, 4, 7), (1, 1, 5, 7),
     (3, 1, 3, 9), (3, 2, 2, 45),
+    (1, 1, 6, 15), (1, 1, 7, 15), (1, 1, 8, 31),
+    (1, 2, 6, 85), (1, 2, 7, 85), (1, 2, 8, 341),
+    (3, 1, 6, 225), (3, 1, 7, 225), (3, 1, 8, 961),
 ]
 
 
@@ -114,8 +117,11 @@ def test_count_and_enumeration_agree(fdata, n, m, k, want):
         assert code.size_log2() * 2 == 2 * n * m * k
 
 
+HIGH_K = [(n, m, k) for n, m in ((1, 1), (1, 2), (3, 1)) for k in (6, 7, 8)]
+
+
 def test_enumerated_codes_are_brute_selfdual(fdata):
-    for (n, m, k) in [(1, 1, 2), (1, 1, 3), (3, 1, 2), (1, 2, 2)]:
+    for (n, m, k) in [(1, 1, 2), (1, 1, 3), (3, 1, 2), (1, 2, 2)] + HIGH_K:
         fd = fdata(n, m)
         for code in enumerate_selfdual(n, m, k, fd):
             dense = span_code(n, m, k, to_ambient_generators(code),
