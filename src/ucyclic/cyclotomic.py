@@ -153,9 +153,9 @@ class FactorData:
     idempotent for the f_j^2 component of F_{2^m}[x]/(x^(2n)-1).
 
     The idempotents and the per-factor constants below (``f_eps``, ``x_inv``,
-    ``hat_basis``, ``transport_basis``, ``theta1``) are derived on first use
-    and kept on the instance: every code built on this FactorData shares
-    them, and nothing is derived up front.
+    ``hat_basis``, ``transport_basis``) are derived on first use and kept on
+    the instance: every code built on this FactorData shares them, and
+    nothing is derived up front.
     """
 
     n: int
@@ -238,11 +238,6 @@ class FactorData:
             return tuple(poly_mulmod(self.ctx, fac, p, f)
                          for p in self.hat_basis(jm))
         return self._once("transport_basis", j, derive)
-
-    def theta1(self, j: int):
-        """Theta_{j,1} of a self-reciprocal component, as a ThetaSet."""
-        from .selfdual import theta_set  # selfdual builds on this module
-        return self._once("theta1", j, lambda: theta_set(self, j, 1))
 
 
 def _check_nm(n: int, m: int) -> None:

@@ -1,43 +1,41 @@
 """Duals, hulls, and self-orthogonal cyclic codes over F_{2^m}[u]/(u^2).
 
-Everything here is k=2 only: at nilpotency index 2 each CRT component
-carries one of exactly seven ideal shapes
+Everything here is k=2 only.  At nilpotency index 2 the ideals of one CRT
+component form a lattice
 
-    <0>  <uf>  <u>  <f>  <u+fw>  <u,f>  <1>
+    <0>  <  <uf>  <  {<u>, <f>, <u+fw>}  <  <u,f>  <  <1>
 
-ordered by inclusion as <0> < <uf> < {<u>, <f>, <u+fw>} < <u,f> < <1>, with
-distinct middle ideals meeting in <uf>.  The dual of a code permutes
-components by the reciprocal-pair map and sends each shape to a fixed
-partner shape; the hull (C intersect dual) then follows from a finite case
-analysis on the shape pair.  ``UnsupportedK`` is raised for any other k —
-general-k duals are only available through the brute-force oracle.
+graded by level, the log2 of the ideal's size in units of m*d_j (0 to 4).
+Two ideals on different levels are comparable, and distinct middle ideals
+meet in <uf>.  The dual of a code moves the label a at component j to
+``mate_label(j, a)`` at component mate(j), which sits on level 4 - level(a).
+So for the labels (a, b) of a code at (j, mate(j)) the level sum decides:
+below 4 the code lies inside its dual there, above 4 the dual lies inside
+the code, and at 4 the two agree iff b is a's dual label, else both sides
+meet in <uf>.  ``hull``, ``is_self_orthogonal`` and
+``enumerate_selforthogonal`` all follow from this one rule; a
+self-reciprocal component is the case j == mate(j).  ``UnsupportedK`` is
+raised for any other k — general-k duals are only available through the
+brute-force oracle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .cyclotomic import FactorData, factor_degrees, factor_xn_minus_1
 from .errors import UnsupportedK
-from .gf import P_ZERO
-from .ideals import IdealLabel
-from .quotient import field_ring
-from .selfdual import CyclicCode, assemble_codes, mate_label, theta_set
+from .ideals import IdealLabel, enumerate_ideals, ideal_size_log2
+from .selfdual import (CyclicCode, _mate_label, assemble_codes,
+                       selfdual_component_labels)
 
 __all__ = [
     "dual_code", "hull", "hull_dimension", "is_self_orthogonal",
     "enumerate_selforthogonal", "count_selforthogonal", "shape_k2",
 ]
 
-# the seven component shapes at k=2, as canonical labels
 L_ZERO = IdealLabel("u_pow", i=2)
-L_ONE = IdealLabel("u_pow", i=0)
-L_U = IdealLabel("u_pow", i=1)
-L_F = IdealLabel("u_f", s=0)
 L_UF = IdealLabel("u_f", s=1)
-L_TOP = IdealLabel("two_gen", i=1, s=0)
-
-
-def _mixed(w) -> IdealLabel:
-    return IdealLabel("mixed_one", i=1, t=0, omega=(w,))
 
 
 def shape_k2(label: IdealLabel) -> str:
@@ -53,8 +51,9 @@ def shape_k2(label: IdealLabel) -> str:
     raise ValueError(f"not a k=2 label: {label}")
 
 
-# dimension over F_{2^m} of each shape, in units of d_j
-_KAPPA = {"zero": 0, "one": 4, "u": 2, "f": 2, "uf": 1, "mixed": 2, "top": 3}
+def _level(label: IdealLabel) -> int:
+    """Level of a k=2 label in its component lattice: 0 (<0>) to 4 (<1>)."""
+    return ideal_size_log2(label, 1, 1, 2)
 
 
 def _require_k2(code: CyclicCode) -> None:
@@ -65,103 +64,53 @@ def _require_k2(code: CyclicCode) -> None:
 
 
 def dual_code(code: CyclicCode) -> CyclicCode:
-    """The Euclidean dual, componentwise from the k=2 shape table."""
+    """The Euclidean dual: label a at component j becomes
+    ``mate_label(j, a)`` at component mate(j)."""
     _require_k2(code)
     fd = code.fd
     comps: list[IdealLabel | None] = [None] * fd.r
     for j, lab in enumerate(code.components):
-        comps[fd.mate(j)] = mate_label(fd, j, lab, 2)
+        comps[fd.mate(j)] = _mate_label(fd, j, lab, 2)
     dual = CyclicCode._trusted(fd, 2, tuple(comps))
     assert code.size_log2() + dual.size_log2() == 4 * fd.m * fd.n, \
         "|C|*|C_dual| must equal |R|^(2n)"
     return dual
 
 
-def _in_theta1(fd: FactorData, j: int, omega: tuple) -> bool:
-    """Is the mixed-shape unit in the self-dual parameter set Theta_{j,1}?"""
-    if j == 0:
-        return True  # every nonzero scalar qualifies at the x-1 component
-    return omega in fd.theta1(j)
-
-
-def _hull_selfrec(fd: FactorData, j: int, lab: IdealLabel) -> IdealLabel:
-    sh = shape_k2(lab)
-    if sh in ("zero", "one"):
-        return L_ZERO
-    if sh in ("uf", "top"):
-        return L_UF
-    if sh == "f":
-        return L_F
-    if sh == "u":
-        return lab
-    # mixed: own hull iff the unit lies in Theta_{j,1}, else <uf>
-    return lab if _in_theta1(fd, j, lab.omega) else L_UF
-
-
 def _hull_pair(fd: FactorData, j: int, a: IdealLabel,
                b: IdealLabel) -> tuple[IdealLabel, IdealLabel]:
-    """Hull components (H_j, H_mate) for a reciprocal pair with C_j=a."""
-    sa, sb = shape_k2(a), shape_k2(b)
-    if sa == "zero":
-        return L_ZERO, b
-    if sa == "uf":
-        if sb == "one":
-            return L_ZERO, L_TOP
-        return L_UF, b
-    if sa == "f":
-        if sb == "f":
-            return L_F, L_F
-        if sb == "top":
-            return L_UF, L_F
-        if sb == "one":
-            return L_ZERO, L_F
-        if sb in ("uf", "zero"):
-            return L_F, b
-        return L_UF, L_UF  # <u> or any <u+fw>
-    if sa in ("u", "mixed"):
-        partner = mate_label(fd, j, a, 2)  # <u+f w0'> (or <u> when w0=0)
-        if b == partner or sb in ("uf", "zero"):
-            return a, b
-        if sb == "top":
-            return L_UF, partner
-        if sb == "one":
-            return L_ZERO, partner
-        return L_UF, L_UF  # <f>, or a mixed/<u> shape other than the partner
-    if sa == "top":
-        if sb == "zero":
-            return L_TOP, L_ZERO
-        return mate_label(fd, fd.mate(j), b, 2), L_UF
-    # sa == "one"
-    return mate_label(fd, fd.mate(j), b, 2), L_ZERO
+    """Hull labels at (j, mate(j)) of a code with labels (a, b) there.
+
+    The dual holds mate_label(mate(j), b) at j and mate_label(j, a) at
+    mate(j).  A transport is made only when the level sum reaches 4, and then
+    at most one of a, b carries a unit.
+    """
+    s = _level(a) + _level(b)
+    if s > 4:       # the dual lies inside the code
+        return _mate_label(fd, fd.mate(j), b, 2), _mate_label(fd, j, a, 2)
+    if s < 4 or b == _mate_label(fd, j, a, 2):      # the code lies inside it
+        return a, b
+    return L_UF, L_UF       # distinct middle ideals on both sides
 
 
 def hull(code: CyclicCode) -> CyclicCode:
-    """Hull(C) = C intersect dual(C), by the per-component case tables."""
+    """Hull(C) = C intersect dual(C), pair by pair from the level rule."""
     _require_k2(code)
     fd = code.fd
-    comps: list[IdealLabel | None] = [None] * fd.r
-    for j in range(fd.num_selfrec):
-        comps[j] = _hull_selfrec(fd, j, code.components[j])
-    for j in range(fd.num_selfrec, fd.num_selfrec + fd.num_pairs):
+    comps = list(code.components)
+    for j in fd.component_indices():
         jm = fd.mate(j)
-        comps[j], comps[jm] = _hull_pair(fd, j, code.components[j],
-                                         code.components[jm])
+        comps[j], comps[jm] = _hull_pair(fd, j, comps[j], comps[jm])
     return CyclicCode._trusted(fd, 2, tuple(comps))
 
 
 def hull_dimension(code: CyclicCode) -> int:
-    """dim over F_{2^m} of Hull(C), summing the per-shape kappa values."""
-    h = hull(code)
-    fd = code.fd
-    dim = sum(_KAPPA[shape_k2(lab)] * fd.degree(j)
-              for j, lab in enumerate(h.components))
-    assert dim == h.size_log2() // fd.m
-    return dim
+    """Dimension over F_{2^m} of the Gray image of Hull(C)."""
+    return hull(code).dim()
 
 
 def is_self_orthogonal(code: CyclicCode) -> bool:
     """True iff C is contained in its dual, i.e. Hull(C) = C."""
-    _require_k2(code)
     return hull(code) == code
 
 
@@ -170,34 +119,29 @@ def is_self_orthogonal(code: CyclicCode) -> bool:
 # ---------------------------------------------------------------------------
 
 def _selforth_selfrec(fd: FactorData, j: int) -> list[IdealLabel]:
-    """Self-orthogonal component ideals at a self-reciprocal factor."""
-    out = [L_ZERO, L_UF, L_F, L_U]
-    if j == 0:
-        ring = field_ring(fd, 0)
-        out += [_mixed(w) for w in ring.elements() if w != P_ZERO]
-    else:
-        out += [_mixed(w[0]) for w in theta_set(fd, j, 1).members]
-    return out
+    """Labels at a self-reciprocal component that lie inside their dual.
+
+    With b == a the level sum is 2*level(a): the labels below level 2, and
+    on level 2 the self-dual ones.  Those come from the Theta sets; filtering
+    all q + 1 middle ideals would cost q transports for sqrt(q) + 1 labels.
+    """
+    return [L_ZERO, L_UF, *selfdual_component_labels(fd, j, 2)]
 
 
 def _selforth_pairs(fd: FactorData, j: int):
-    """Self-orthogonal (C_j, C_mate) assignments for a reciprocal pair.
+    """(C_j, C_mate(j)) label pairs of a reciprocal pair inside the dual.
 
-    15 + 5q assignments in total, q = |F_j|.  Note the (<u,f>, <uf>) row:
-    that assignment is its own dual (see the shape table), so it belongs
-    here even though no other partner works for <u,f> besides <0>.
+    b lies inside a's dual label d = mate_label(j, a) iff b == d or b sits on
+    a lower level, so the partners of a are a prefix of the mate's ideals
+    sorted by level, then d.  Counted over a, that is the 15 + 5q comparable
+    pairs of the (q + 5)-ideal lattice.
     """
-    ring = field_ring(fd, j)
-    mixeds = [_mixed(w) for w in ring.elements() if w != P_ZERO]
-    everything = [L_ZERO, L_ONE, L_U, L_F, L_UF, L_TOP] + mixeds
-    out = [(L_ZERO, b) for b in everything]
-    out += [(L_UF, b) for b in everything if b != L_ONE]
-    out += [(L_F, b) for b in (L_F, L_UF, L_ZERO)]
-    for a in [L_U] + mixeds:
-        partner = mate_label(fd, j, a, 2)
-        out += [(a, b) for b in (partner, L_UF, L_ZERO)]
-    out += [(L_TOP, L_UF), (L_TOP, L_ZERO), (L_ONE, L_ZERO)]
-    return out
+    mates = sorted(enumerate_ideals(fd, fd.mate(j), 2), key=_level)
+    levels = [_level(b) for b in mates]
+    for a in enumerate_ideals(fd, j, 2):
+        for b in mates[:bisect_left(levels, 4 - _level(a))]:
+            yield a, b
+        yield a, _mate_label(fd, j, a, 2)
 
 
 def enumerate_selforthogonal(n: int, m: int,

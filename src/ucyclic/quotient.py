@@ -126,8 +126,8 @@ def hat(fd, j_src: int, a: Poly, j_dst: int | None = None) -> Poly:
 def omega_prime(fd, j: int, omega: UElem) -> UElem:
     """Transport of a unit: delta_j * x^(-d_j) * hat(omega), mod f_{mate(j)}.
 
-    This is the omega' appearing in the reciprocal-pair matching of ideals and
-    in the k = 2 dual tables; for self-reciprocal factors the target is f_j
+    This is the omega' appearing in the reciprocal-pair matching of ideals
+    (``selfdual.mate_label``); for self-reciprocal factors the target is f_j
     itself.
     """
     basis = fd.transport_basis(j)

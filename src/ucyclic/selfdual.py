@@ -185,6 +185,12 @@ def mate_label(fd: FactorData, j: int, label: IdealLabel, k: int) -> IdealLabel:
     w -> delta * x^(-d) * w(x^(-1))).  The map is an involution.
     """
     validate_label(label, k, fd.degree(j))
+    return _mate_label(fd, j, label, k)
+
+
+def _mate_label(fd: FactorData, j: int, label: IdealLabel,
+                k: int) -> IdealLabel:
+    """:func:`mate_label` for a label already known to be canonical."""
     kind, i, t, s, w = label.kind, label.i, label.t, label.s, label.omega
     wp = qt.omega_prime(fd, j, w) if w is not None else None
     if kind == "u_pow":
@@ -214,7 +220,8 @@ def is_self_dual(code: CyclicCode) -> bool:
     """Componentwise self-duality test (any k)."""
     fd, k = code.fd, code.k
     for j in fd.component_indices():
-        if code.components[fd.mate(j)] != mate_label(fd, j, code.components[j], k):
+        label = code.components[j]
+        if code.components[fd.mate(j)] != _mate_label(fd, j, label, k):
             return False
     return True
 
@@ -280,7 +287,7 @@ def enumerate_selfdual(n: int, m: int, k: int,
         fd = factor_xn_minus_1(n, m, modulus)
     return assemble_codes(
         fd, k, lambda j: selfdual_component_labels(fd, j, k),
-        lambda j: ((lab, mate_label(fd, j, lab, k))
+        lambda j: ((lab, _mate_label(fd, j, lab, k))
                    for lab in enumerate_ideals(fd, j, k)))
 
 

@@ -14,11 +14,12 @@ import pytest
 
 from ucyclic import duality as du
 from ucyclic.errors import UnsupportedK
-from ucyclic.ideals import IdealLabel
-from ucyclic.oracle import (brute_dual, brute_intersect, brute_is_selfdual,
+from ucyclic.ideals import IdealLabel, enumerate_ideals, ideal_members
+from ucyclic.oracle import (brute_component_ideals, brute_dual,
+                            brute_intersect, brute_is_selfdual,
                             brute_is_selforthogonal, span_code)
 from ucyclic.selfdual import (CyclicCode, enumerate_cyclic,
-                              enumerate_selfdual, is_self_dual,
+                              enumerate_selfdual, is_self_dual, mate_label,
                               to_ambient_generators)
 
 
@@ -27,9 +28,16 @@ def dense(code):
                      code.fd.ctx.modulus)
 
 
+def sample_codes(fd, count, seed):
+    """``count`` k = 2 codes, one uniform label choice per component."""
+    rng = random.Random(seed)
+    per = [list(enumerate_ideals(fd, j, 2)) for j in range(fd.r)]
+    return [CyclicCode(fd, 2, tuple(rng.choice(labels) for labels in per))
+            for _ in range(count)]
+
+
 def test_shape_k2_partition(fdata):
     from ucyclic.duality import shape_k2
-    from ucyclic.ideals import enumerate_ideals
     fd = fdata(3, 1)
     shapes = {}
     for lab in enumerate_ideals(fd, 1, 2):
@@ -38,6 +46,39 @@ def test_shape_k2_partition(fdata):
     assert len(shapes["mixed"]) == 3     # one per unit of F_4
     for key in ("zero", "one", "u", "f", "uf", "top"):
         assert len(shapes[key]) == 1
+
+
+# (n, m, modulus, j, q): self-reciprocal components at q = 2, 4, 16 and pair
+# representatives at q = 4, 16, plus q = 8, the smallest pair over F_2 (x + 1
+# is the only linear factor there, and it is self-reciprocal)
+LATTICE_COMPONENTS = [(1, 1, None, 0, 2), (3, 1, None, 1, 4),
+                      (5, 1, None, 1, 16), (3, 2, None, 1, 4),
+                      (3, 4, 0x19, 1, 16), (7, 1, None, 1, 8)]
+
+
+@pytest.mark.parametrize("n,m,modulus,j,q", LATTICE_COMPONENTS)
+def test_level_rule_matches_component_ideals(fdata, n, m, modulus, j, q):
+    """The lattice facts hull and the self-orthogonal enumerator rest on,
+    against the oracle's member sets of every ideal of one component: a
+    label's level is log2 of its size in units of m*d; c lies in d iff c == d
+    or c sits lower; c meets d in the lower of the two or, for distinct
+    middle ideals, in <uf>; and the dual label sits on level 4 - level."""
+    fd = fdata(n, m, modulus)
+    assert 1 << (m * fd.degree(j)) == q
+    members = {lab: ideal_members(fd, j, 2, lab)
+               for lab in enumerate_ideals(fd, j, 2)}
+    assert len(members) == q + 5
+    assert set(members.values()) == set(brute_component_ideals(fd, j, 2))
+    uf = members[IdealLabel("u_f", s=1)]
+    for c, cm in members.items():
+        level = du._level(c)
+        assert len(cm) == q ** level
+        assert du._level(mate_label(fd, j, c, 2)) == 4 - level
+        for d, dm in members.items():
+            inside = c == d or level < du._level(d)
+            assert (cm <= dm) == inside
+            meet = cm if inside else dm if dm <= cm else uf
+            assert cm & dm == meet
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 1), (1, 2)])
@@ -78,6 +119,17 @@ def test_hull_equals_brute_sample_7(fdata):
         assert sorted(mine.basis) == sorted(brute.basis)
 
 
+@pytest.mark.parametrize("n,m,modulus", [(3, 3, 0xd), (15, 1, None)])
+def test_hull_and_selforth_equal_brute_sampled(fdata, n, m, modulus):
+    fd = fdata(n, m, modulus)
+    for code in sample_codes(fd, 200, seed=n):
+        d = dense(code)
+        brute = brute_intersect(d, brute_dual(d, fd.ctx.modulus))
+        assert sorted(dense(du.hull(code)).basis) == sorted(brute.basis)
+        assert du.is_self_orthogonal(code) == (len(brute.basis)
+                                               == len(d.basis))
+
+
 def test_hull_properties(fdata):
     fd = fdata(7, 1)
     for code in enumerate_cyclic(7, 1, 2, fd):
@@ -107,7 +159,7 @@ def test_selforth_enumeration_equals_filter(fdata, n, m):
     fd = fdata(n, m)
     mine = set(du.enumerate_selforthogonal(n, m, fd))
     filt = {c for c in enumerate_cyclic(n, m, 2, fd)
-            if du.is_self_orthogonal(c)}
+            if brute_is_selforthogonal(dense(c), fd.ctx.modulus)}
     assert mine == filt
     assert len(mine) == du.count_selforthogonal(n, m, fd)
 
@@ -181,3 +233,5 @@ def test_k2_only(fdata):
         du.hull(code)
     with pytest.raises(UnsupportedK):
         du.is_self_orthogonal(code)
+    with pytest.raises(UnsupportedK):
+        du.hull_dimension(code)

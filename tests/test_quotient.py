@@ -99,11 +99,10 @@ def test_u_key_orders(fdata):
 
 def _fresh_constants(fd, j):
     """The per-factor constants derived from scratch through gf/quotient."""
-    from ucyclic.selfdual import theta_set
     ctx, d, jm = fd.ctx, fd.degree(j), fd.mate(j)
     ring, ring_m = qt.field_ring(fd, j), qt.field_ring(fd, jm)
     xi = ring.inv(P_X)
-    out = {
+    return {
         "f_eps": poly_mulmod(ctx, fd.factors[j], fd.idempotents[j],
                              fd.modulus_2n()),
         "x_inv": xi,
@@ -112,9 +111,6 @@ def _fresh_constants(fd, j):
             ring_m.mul((fd.delta[j],), ring_m.pow(P_X, -(d + i)))
             for i in range(d)),
     }
-    if 0 < j < fd.num_selfrec:
-        out["theta1"] = theta_set(fd, j, 1)
-    return out
 
 
 @pytest.mark.parametrize("n,m,modulus", [(1, 2, None), (7, 1, None),

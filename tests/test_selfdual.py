@@ -83,6 +83,12 @@ def test_mate_label_k2_shapes(fdata):
     }
     for lab, want in cases.items():
         assert mate_label(fd, 0, lab, 2) == want
+    # the public function checks its label; the core behind it does not
+    for bad in (IdealLabel("u_pow", i=3), IdealLabel("u_f", s=2),
+                IdealLabel("mixed_one", i=1, t=0, omega=(0,)),
+                IdealLabel("mixed_one", i=1, t=0, omega=(1, 1))):
+        with pytest.raises(ValueError):
+            mate_label(fd, 0, bad, 2)
 
 
 def test_is_self_dual_positive_and_negative(fdata):
