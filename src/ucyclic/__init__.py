@@ -28,12 +28,11 @@ from .gray import (GenMatrix, circulant, generator_matrix, gray_image_matrix,
                    gray_map, gray_map_packed, gram_is_zero, is_2_quasi_cyclic,
                    lee_distribution, lee_weight, min_distance,
                    weight_distribution)
-from .ideals import (IdealLabel, count_ideals, count_ideals_closed,
-                     enumerate_ideals, ideal_size_log2)
+from .ideals import IdealLabel, count_ideals, enumerate_ideals, ideal_size_log2
 from .selfdual import (CyclicCode, ThetaSet, count_cyclic, count_selfdual,
                        enumerate_cyclic, enumerate_selfdual, family_60_30_8,
-                       is_self_dual, mate_label, selfdual_k2_list,
-                       selfdual_k345_list, theta_set, to_ambient_generators)
+                       is_self_dual, mate_label, theta_set,
+                       to_ambient_generators)
 
 __version__ = "0.1.0"
 
@@ -41,14 +40,13 @@ __all__ = [
     "BadDescriptor", "CyclicCode", "DimensionTooLarge", "FactorData",
     "FieldCtx", "GenMatrix", "IdealLabel", "MinDistOfTrivial", "NotSelfDual",
     "ThetaSet", "TooLarge", "UcyclicError", "UnsupportedK", "__version__",
-    "circulant", "count_cyclic", "count_ideals", "count_ideals_closed",
-    "count_selfdual", "count_selforthogonal", "cyclotomic_cosets",
-    "default_modulus", "dual_code", "enumerate_cyclic", "enumerate_ideals",
-    "enumerate_selfdual", "enumerate_selforthogonal", "factor_xn_minus_1",
-    "family_60_30_8", "generator_matrix", "gram_is_zero",
-    "gray_image_matrix", "gray_map", "gray_map_packed", "hull",
-    "hull_dimension", "ideal_size_log2", "is_2_quasi_cyclic", "is_self_dual",
-    "is_self_orthogonal", "lee_distribution", "lee_weight", "mate_label",
-    "min_distance", "selfdual_k2_list", "selfdual_k345_list", "theta_set",
-    "to_ambient_generators", "weight_distribution",
+    "circulant", "count_cyclic", "count_ideals", "count_selfdual",
+    "count_selforthogonal", "cyclotomic_cosets", "default_modulus",
+    "dual_code", "enumerate_cyclic", "enumerate_ideals", "enumerate_selfdual",
+    "enumerate_selforthogonal", "factor_xn_minus_1", "family_60_30_8",
+    "generator_matrix", "gram_is_zero", "gray_image_matrix", "gray_map",
+    "gray_map_packed", "hull", "hull_dimension", "ideal_size_log2",
+    "is_2_quasi_cyclic", "is_self_dual", "is_self_orthogonal",
+    "lee_distribution", "lee_weight", "mate_label", "min_distance",
+    "theta_set", "to_ambient_generators", "weight_distribution",
 ]

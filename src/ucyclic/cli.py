@@ -51,7 +51,9 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
+import math
 import os
 import random
 import re
@@ -63,8 +65,7 @@ from . import ideals as il
 from . import oracle as orc
 from . import selfdual as sd
 from .cyclotomic import FactorData, cyclotomic_cosets, factor_xn_minus_1
-from .errors import (BadDescriptor, MinDistOfTrivial, NotSelfDual, TooLarge,
-                     UcyclicError, UnsupportedK)
+from .errors import BadDescriptor, NotSelfDual, TooLarge, UcyclicError
 from .gf import poly_from_key, poly_key
 
 EXIT_OK = 0
@@ -76,10 +77,6 @@ EXIT_TOOLARGE = 4
 # ---------------------------------------------------------------------------
 # wire format
 # ---------------------------------------------------------------------------
-
-def _hex(v: int) -> str:
-    return hex(v)
-
 
 _HEXPOLY = re.compile(r"0x[0-9a-f]+")     # the schemas' hexpoly pattern
 
@@ -107,7 +104,7 @@ def format_label(ctx, label: il.IdealLabel) -> dict:
         if v is not None:
             out[name] = v
     if label.omega is not None:
-        out["omega"] = [_hex(poly_key(ctx, p)) for p in label.omega]
+        out["omega"] = [hex(poly_key(ctx, p)) for p in label.omega]
     return out
 
 
@@ -140,7 +137,7 @@ def format_code(code: sd.CyclicCode) -> dict:
         "n": code.n,
         "m": code.m,
         "k": code.k,
-        "modulus": _hex(ctx.modulus),
+        "modulus": hex(ctx.modulus),
         "components": [{"j": j} | format_label(ctx, lab)
                        for j, lab in enumerate(code.components)],
     }
@@ -216,15 +213,15 @@ def _cmd_factor(args) -> int:
     _emit({
         "n": fd.n,
         "m": fd.m,
-        "modulus": _hex(ctx.modulus),
+        "modulus": hex(ctx.modulus),
         "cosets": [list(c) for c in cyclotomic_cosets(fd.n, ctx.order)],
-        "factors": [_hex(poly_key(ctx, f)) for f in fd.factors],
+        "factors": [hex(poly_key(ctx, f)) for f in fd.factors],
         "degrees": [fd.degree(j) for j in range(fd.r)],
         "num_selfrec": fd.num_selfrec,
         "num_pairs": fd.num_pairs,
         "pairing": [fd.mate(j) for j in range(fd.r)],
-        "delta": [_hex(dj) for dj in fd.delta],
-        "idempotents": [_hex(poly_key(ctx, e)) for e in fd.idempotents],
+        "delta": [hex(dj) for dj in fd.delta],
+        "idempotents": [hex(poly_key(ctx, e)) for e in fd.idempotents],
     })
     return EXIT_OK
 
@@ -324,7 +321,7 @@ def _cmd_gray(args) -> int:
         "length": gm.cols,
         "m": code.m,
         "rank": gm.rank(),
-        "rows": [_hex(v) for v in gm.packed],
+        "rows": [hex(v) for v in gm.packed],
     })
     return EXIT_OK
 
@@ -345,154 +342,133 @@ def _cmd_tables(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify: the oracle suite as a report
+# verify: the oracle suite as one table of checks
 # ---------------------------------------------------------------------------
 
-class _Report:
-    def __init__(self) -> None:
-        self.failed = 0
-
-    def check(self, ok: bool, name: str, detail: str = "") -> None:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else ""))
-        if not ok:
-            self.failed += 1
-
-    def skip(self, name: str, why: str) -> None:
-        print(f"SKIP  {name}  ({why})")
+# Caps on the exhaustive walks, as log2 of the walk's length.  Every other
+# check costs a polynomial in the length per code and runs on codes drawn
+# with one choice per component list, never on the whole product.
+CENSUS_LOG2 = 14        # ideal census: every vector of the space it closes
+UNIT_WALK_LOG2 = 16     # Theta filter: every unit of F_j[u]/(u^s)
+LABELS_LOG2 = 16        # the label list of the largest component
+SAMPLES = 200           # codes per membership and hull check
+GRAY_SAMPLES = 32       # codes per Gray check
 
 
-def _verify_ideal_census(rep, fd, k):
-    for j in fd.component_indices():
-        d = fd.degree(j)
-        name = f"ideal-census j={j}"
-        if 2 * d * fd.m * k > 14:
-            rep.skip(name, "component ring too large for exhaustion")
-            continue
+def _refuse(walk: int, cap: int, what: str) -> str | None:
+    """The SKIP reason for a walk of 2^walk ``what``, or None if it fits."""
+    return None if walk <= cap else f"walk of 2^{walk} {what} > cap 2^{cap}"
+
+
+def _dense(code: sd.CyclicCode) -> orc.DenseCode:
+    return orc.span_code(code.n, code.m, code.k,
+                         sd.to_ambient_generators(code), code.fd.ctx.modulus)
+
+
+def _hull_ok(code: sd.CyclicCode) -> bool:
+    dense = _dense(code)
+    return _dense(du.hull(code)) == orc.brute_intersect(
+        dense, orc.brute_dual(dense, code.fd.ctx.modulus))
+
+
+def _gray_ok(code: sd.CyclicCode) -> bool:
+    gm = gr.generator_matrix(code)
+    return (gm.rank() == 2 * code.n and gr.gram_is_zero(gm)
+            and gr.is_2_quasi_cyclic(gm)
+            and tuple(gr.rref_fq(gm.ctx, gm.rows)[0])
+            == tuple(gr.gray_image_matrix(code).rows))
+
+
+def _checks(fd: FactorData, k: int) -> list[tuple]:
+    """The oracle suite: (name, SKIP reason or None, thunk -> (ok, detail))."""
+    n, m, mod = fd.n, fd.m, fd.ctx.modulus
+    selfdual = functools.cache(lambda: sd._selfdual_lists(fd, k))
+    selforth = functools.cache(lambda: du._selforth_lists(fd))
+    q_max = 1 << (m * max(map(fd.degree, range(fd.r))))
+    long_lists = _refuse(il.count_ideals(q_max, k).bit_length() - 1,
+                         LABELS_LOG2, "labels in one component")
+    k2_only = (long_lists if k == 2
+               else "the duality and Gray layers are k = 2 only")
+
+    def census(j):
         got = len(orc.brute_component_ideals(fd, j, k))
-        want = il.count_ideals(1 << (fd.m * d), k)
-        rep.check(got == want, name, f"{got} ideals, closed form {want}")
+        want = il.count_ideals(1 << (m * fd.degree(j)), k)
+        return got == want, f"{got} ideals, closed form {want}"
 
+    def theta(j, s):
+        mine = sorted(sd.theta_set(fd, j, s).members)
+        return (mine == sorted(orc.theta_congruence_filter(fd, j, s)),
+                f"{len(mine)} units")
 
-def _verify_selfdual(rep, fd, k):
-    n, m = fd.n, fd.m
-    codes = list(sd.enumerate_selfdual(n, m, k, fd))
-    want = sd.count_selfdual(n, m, k, fd)
-    rep.check(len(codes) == len(set(codes)) == want, "selfdual-count",
-              f"{len(codes)} codes, mass formula {want}")
-    if 2 * n * m * k > 32:
-        rep.skip("selfdual-membership", "ambient space too large")
-        return
-    ok = all(
-        orc.brute_is_selfdual(
-            orc.span_code(n, m, k, sd.to_ambient_generators(c),
-                          fd.ctx.modulus),
-            fd.ctx.modulus)
-        for c in codes)
-    rep.check(ok, "selfdual-membership", f"{len(codes)} codes brute-checked")
-    if 2 * n * m * k > 14:
-        rep.skip("selfdual-filter", "full ideal exhaustion too large")
-        return
-    brute = sum(orc.brute_is_selfdual(c, fd.ctx.modulus)
-                for c in orc.brute_all_ideals(n, m, k, fd.ctx.modulus))
-    rep.check(brute == want, "selfdual-filter",
-              f"oracle finds {brute} self-dual ideals")
+    def count(lists, want, what):
+        got = math.prod(len(set(lst)) for lst in lists)
+        return (got == math.prod(map(len, lists)) == want,
+                f"{got} codes, {what} {want}")
 
+    def sample(lists, size, ok, what, build=sd._build_code):
+        # the whole product if it is small, else seeded uniform draws
+        choices = itertools.product(*lists)
+        if math.prod(map(len, lists)) > size:
+            rng = random.Random(0)
+            choices = [tuple(map(rng.choice, lists)) for _ in range(size)]
+        codes = [build(fd, k, choice) for choice in choices]
+        return all(map(ok, codes)), f"{len(codes)} codes{what}"
 
-def _verify_hull(rep, fd, k):
-    n, m = fd.n, fd.m
-    if k != 2:
-        rep.skip("hull-oracle", "duality layer is k = 2 only")
-        return
-    if 2 * n * m * k > 32:
-        rep.skip("hull-oracle", "ambient space too large")
-        return
-    total = sd.count_cyclic(n, m, k, fd)
-    codes = sd.enumerate_cyclic(n, m, k, fd)
-    if total > 500:
-        pool = list(codes)
-        codes = random.Random(0).sample(pool, 500)
-    checked = 0
-    ok = True
-    for c in codes:
-        dense = orc.span_code(n, m, k, sd.to_ambient_generators(c),
-                              fd.ctx.modulus)
-        brute = orc.brute_intersect(dense, orc.brute_dual(dense, fd.ctx.modulus))
-        mine = orc.span_code(n, m, k, sd.to_ambient_generators(du.hull(c)),
-                             fd.ctx.modulus)
-        if sorted(mine.basis) != sorted(brute.basis):
-            ok = False
-            break
-        checked += 1
-    rep.check(ok, "hull-oracle", f"{checked} codes checked")
+    def selfdual_filter():
+        brute = sum(orc.brute_is_selfdual(c, mod)
+                    for c in orc.brute_all_ideals(n, m, k, mod))
+        return (brute == sd.count_selfdual(n, m, k, fd),
+                f"oracle finds {brute} self-dual ideals")
 
-
-def _verify_theta(rep, fd, k):
-    for j in range(1, fd.num_selfrec):
-        for s in range(1, max(2, k // 2 + 1)):
-            name = f"theta j={j} s={s}"
-            if fd.degree(j) * fd.m * s > 16:
-                rep.skip(name, "unit group too large for exhaustion")
-                continue
-            mine = sorted(sd.theta_set(fd, j, s).members)
-            brute = sorted(orc.theta_congruence_filter(fd, j, s))
-            rep.check(mine == brute, name, f"{len(mine)} units")
-
-
-def _verify_selforth(rep, fd, k):
-    if k != 2:
-        rep.skip("selforth-count", "duality layer is k = 2 only")
-        return
-    n, m = fd.n, fd.m
-    codes = list(du.enumerate_selforthogonal(n, m, fd))
-    want = du.count_selforthogonal(n, m, fd)
-    rep.check(len(codes) == len(set(codes)) == want, "selforth-count",
-              f"{len(codes)} codes, closed form {want}")
-    if 2 * n * m * k > 32:
-        rep.skip("selforth-membership", "ambient space too large")
-        return
-    ok = all(
-        orc.brute_is_selforthogonal(
-            orc.span_code(n, m, k, sd.to_ambient_generators(c),
-                          fd.ctx.modulus),
-            fd.ctx.modulus)
-        for c in codes)
-    rep.check(ok, "selforth-membership", f"{len(codes)} codes brute-checked")
-
-
-def _verify_gray(rep, fd, k):
-    if k != 2:
-        rep.skip("gray-genmatrix", "Gray layer is k = 2 only")
-        return
-    n, m = fd.n, fd.m
-    codes = list(sd.enumerate_selfdual(n, m, 2, fd))
-    if len(codes) > 32:
-        codes = random.Random(0).sample(codes, 32)
-    ok = True
-    for c in codes:
-        gm = gr.generator_matrix(c)
-        alt = gr.gray_image_matrix(c)
-        if not (gm.rank() == 2 * n and gr.gram_is_zero(gm)
-                and gr.is_2_quasi_cyclic(gm)
-                and tuple(gr.rref_fq(gm.ctx, gm.rows)[0]) == tuple(alt.rows)):
-            ok = False
-            break
-    rep.check(ok, "gray-genmatrix",
-              f"{len(codes)} codes: rank 2n, G.G^T = 0, 2-quasi-cyclic")
+    rows = [(f"ideal-census j={j}",
+             _refuse(2 * fd.degree(j) * m * k, CENSUS_LOG2,
+                     "vectors of the component ring"),
+             functools.partial(census, j)) for j in fd.component_indices()]
+    rows += [(f"theta j={j} s={s}",
+              _refuse(fd.degree(j) * m * s, UNIT_WALK_LOG2,
+                      "units of F_j[u]/(u^s)"),
+              functools.partial(theta, j, s))
+             for j in range(1, fd.num_selfrec)
+             for s in range(1, max(2, k // 2 + 1))]
+    return rows + [
+        ("selfdual-count", long_lists, lambda: count(
+            selfdual(), sd.count_selfdual(n, m, k, fd), "mass formula")),
+        ("selfdual-membership", long_lists, lambda: sample(
+            selfdual(), SAMPLES,
+            lambda c: orc.brute_is_selfdual(_dense(c), mod),
+            " brute-checked")),
+        ("selfdual-filter",
+         _refuse(2 * n * m * k, CENSUS_LOG2, "vectors of R^(2n)"),
+         selfdual_filter),
+        ("hull-oracle", k2_only, lambda: sample(
+            [list(il.enumerate_ideals(fd, j, k)) for j in range(fd.r)],
+            SAMPLES, _hull_ok, " checked", sd.CyclicCode._trusted)),
+        ("selforth-count", k2_only, lambda: count(
+            selforth(), du.count_selforthogonal(n, m, fd), "closed form")),
+        ("selforth-membership", k2_only, lambda: sample(
+            selforth(), SAMPLES,
+            lambda c: orc.brute_is_selforthogonal(_dense(c), mod),
+            " brute-checked")),
+        ("gray-genmatrix", k2_only, lambda: sample(
+            selfdual(), GRAY_SAMPLES, _gray_ok,
+            ": rank 2n, G.G^T = 0, 2-quasi-cyclic")),
+    ]
 
 
 def _cmd_verify(args) -> int:
     fd = factor_xn_minus_1(args.n, args.m, args.modulus)
-    rep = _Report()
     print(f"oracle suite for n={args.n} m={args.m} k={args.k} "
-          f"modulus={_hex(fd.ctx.modulus)}")
-    _verify_ideal_census(rep, fd, args.k)
-    _verify_theta(rep, fd, args.k)
-    _verify_selfdual(rep, fd, args.k)
-    _verify_hull(rep, fd, args.k)
-    _verify_selforth(rep, fd, args.k)
-    _verify_gray(rep, fd, args.k)
-    if rep.failed:
-        print(f"{rep.failed} check(s) FAILED")
+          f"modulus={hex(fd.ctx.modulus)}")
+    failed = 0
+    for name, skip, check in _checks(fd, args.k):
+        if skip:
+            print(f"SKIP  {name}  ({skip})")
+            continue
+        ok, detail = check()
+        print(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})")
+        failed += not ok
+    if failed:
+        print(f"{failed} check(s) FAILED")
         return EXIT_VERIFY
     print("all checks passed")
     return EXIT_OK
@@ -607,30 +583,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _error(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BrokenPipeError:
+    except BrokenPipeError:         # an OSError, so it must come first
         return EXIT_OK
     except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOOLARGE
+        return _error(exc, EXIT_TOOLARGE)
     except NotSelfDual as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except (BadDescriptor, UnsupportedK, MinDistOfTrivial) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UcyclicError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_VERIFY)
+    except (UcyclicError, ValueError, OSError) as exc:
+        return _error(exc, EXIT_USAGE)
 
 
 if __name__ == "__main__":

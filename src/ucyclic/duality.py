@@ -21,12 +21,13 @@ brute-force oracle.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 
 from .cyclotomic import FactorData, factor_degrees, factor_xn_minus_1
 from .errors import UnsupportedK
 from .ideals import IdealLabel, enumerate_ideals, ideal_size_log2
-from .selfdual import (CyclicCode, _mate_label, assemble_codes,
+from .selfdual import (CyclicCode, _build_code, _mate_label,
                        selfdual_component_labels)
 
 __all__ = [
@@ -118,16 +119,6 @@ def is_self_orthogonal(code: CyclicCode) -> bool:
 # all self-orthogonal codes (k=2)
 # ---------------------------------------------------------------------------
 
-def _selforth_selfrec(fd: FactorData, j: int) -> list[IdealLabel]:
-    """Labels at a self-reciprocal component that lie inside their dual.
-
-    With b == a the level sum is 2*level(a): the labels below level 2, and
-    on level 2 the self-dual ones.  Those come from the Theta sets; filtering
-    all q + 1 middle ideals would cost q transports for sqrt(q) + 1 labels.
-    """
-    return [L_ZERO, L_UF, *selfdual_component_labels(fd, j, 2)]
-
-
 def _selforth_pairs(fd: FactorData, j: int):
     """(C_j, C_mate(j)) label pairs of a reciprocal pair inside the dual.
 
@@ -144,14 +135,28 @@ def _selforth_pairs(fd: FactorData, j: int):
         yield a, _mate_label(fd, j, a, 2)
 
 
+def _selforth_lists(fd: FactorData) -> list[list]:
+    """The per-component lists of the self-orthogonal codes, k=2 (see
+    ``selfdual._build_code``).
+
+    At a self-reciprocal component b == a, so the level sum is 2*level(a):
+    the labels below level 2, and on level 2 the self-dual ones.  Those come
+    from the Theta sets; filtering all q + 1 middle ideals would cost q
+    transports for sqrt(q) + 1 labels.
+    """
+    return [[L_ZERO, L_UF, *selfdual_component_labels(fd, j, 2)]
+            if j < fd.num_selfrec else list(_selforth_pairs(fd, j))
+            for j in fd.component_indices()]
+
+
 def enumerate_selforthogonal(n: int, m: int,
                              fd: FactorData | None = None,
                              modulus: int | None = None):
     """All distinct self-orthogonal cyclic codes of length 2n, k=2."""
     if fd is None:
         fd = factor_xn_minus_1(n, m, modulus)
-    return assemble_codes(fd, 2, lambda j: _selforth_selfrec(fd, j),
-                          lambda j: _selforth_pairs(fd, j))
+    return (_build_code(fd, 2, choice)
+            for choice in itertools.product(*_selforth_lists(fd)))
 
 
 def count_selforthogonal(n: int, m: int,

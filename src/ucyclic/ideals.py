@@ -19,8 +19,8 @@ two_gen_omega   (u^i + u^t f w, u^s f)                0 <= t < s < i <= k-1,
 
 Here F = F_{2^m}[x]/(f) is the residue field and units w are u-expansions with
 nonzero constant coefficient.  ``count_ideals`` gives the total from the
-closed-form census; the shape-by-shape counts are in
-``count_ideals_by_shape`` and the two agree (tested exhaustively).
+closed-form census; the tests check it against ``enumerate_ideals``, the
+brute-force census and the shape-by-shape counts.
 """
 
 from __future__ import annotations
@@ -114,40 +114,6 @@ def _require_k(k: int) -> None:
         raise ValueError(f"nilpotency index k must be >= 1, got {k}")
 
 
-def omega1(q: int, k: int) -> int:
-    """Number of mixed_one ideals."""
-    if k % 2 == 0:
-        return (q ** (k // 2 + 1) + q ** (k // 2) - 2) // (q - 1) - (k + 1)
-    return 2 * (q ** ((k + 1) // 2) - 1) // (q - 1) - (k + 1)
-
-
-def omega2(q: int, k: int) -> int:
-    """Number of mixed_two ideals."""
-    return (q - 1) * sum((2 * i - k) * q ** (k - i - 1)
-                         for i in range(k // 2 + 1, k))
-
-
-def gamma(q: int, rho: int) -> int:
-    """two_gen_omega ideal count is (q-1)*gamma(q, k)."""
-    if rho <= 3:
-        return 0
-    if rho == 4:
-        return 1
-    return gamma(q, rho - 1) + sum((rho - 2 * s - 1) * q ** (s - 1)
-                                   for s in range(1, rho // 2))
-
-
-def count_ideals_by_shape(q: int, k: int) -> dict[str, int]:
-    return {
-        "u_pow": k + 1,
-        "u_f": k,
-        "mixed_one": omega1(q, k),
-        "mixed_two": omega2(q, k),
-        "two_gen": k * (k - 1) // 2,
-        "two_gen_omega": (q - 1) * gamma(q, k),
-    }
-
-
 def count_ideals(q: int, k: int) -> int:
     """Total number of ideals of K[u]/(u^k), residue field of size q."""
     _require_k(k)
@@ -155,17 +121,6 @@ def count_ideals(q: int, k: int) -> int:
         return sum((1 + 4 * i) * q ** (k // 2 - i) for i in range(k // 2 + 1))
     return sum((3 + 4 * i) * q ** ((k - 1) // 2 - i)
                for i in range((k + 1) // 2))
-
-
-def count_ideals_closed(q: int, k: int) -> int:
-    """Closed rational form of count_ideals (cross-check)."""
-    if k % 2 == 0:
-        num = (q + 3) * q ** (k // 2 + 1) - q * (2 * k + 5) + 2 * k + 1
-    else:
-        num = (3 * q + 1) * q ** ((k - 1) // 2 + 1) - q * (2 * k + 5) + 2 * k + 1
-    den = (q - 1) ** 2
-    assert num % den == 0
-    return num // den
 
 
 def ideal_size_log2(label: IdealLabel, m: int, d: int, k: int) -> int:

@@ -285,8 +285,9 @@ def _all_ideals_generic(nbits: int, maps, invertible) -> list[tuple[int, ...]]:
 
     Correctness: every ideal is a sum of single-generator closures, all
     single-generator closures are produced, and the pairwise-sum pass closes
-    the collection; vectors are deduplicated by their orbit under the
-    invertible maps first (same closure).
+    the collection (each unordered pair once, so the order of the list is
+    the order of discovery); vectors are deduplicated by their orbit under
+    the invertible maps first (same closure).
     """
     if nbits > AMBIENT_CAP_LOG2:
         raise TooLarge(f"ambient space has 2^{nbits} elements")
@@ -310,20 +311,16 @@ def _all_ideals_generic(nbits: int, maps, invertible) -> list[tuple[int, ...]]:
             seen_vec[w] = 1
         found[_canon(map_closure([v], maps), nbits)] = None
 
-    # close under pairwise sums
+    # close under sums, each unordered pair once: every ideal, in the order
+    # it was found, is summed with the ones found before it
     pool = list(found)
-    while True:
-        fresh = []
-        for a in pool:
-            for b in pool:
-                s = _canon(map_closure(a + b, maps), nbits)
-                if s not in found:
-                    found[s] = None
-                    fresh.append(s)
-        if not fresh:
-            break
-        pool = list(found)
-    return list(found)
+    for i, a in enumerate(pool):                # pool grows as it is walked
+        for b in pool[:i]:
+            s = _canon(map_closure(a + b, maps), nbits)
+            if s not in found:
+                found[s] = None
+                pool.append(s)
+    return pool
 
 
 def brute_all_ideals(n: int, m: int, k: int,

@@ -12,9 +12,9 @@ vector.  Self-duality is a per-component condition:
   function (:func:`mate_label`) of the label on the representative.
 
 ``enumerate_selfdual`` walks the Cartesian product of those per-component
-lists; ``count_selfdual`` is the closed-form product; ``selfdual_k2_list``
-and ``selfdual_k345_list`` regenerate the same codes from independent
-hardcoded per-k tables and exist as cross-checks.
+lists; ``count_selfdual`` is the closed-form product.  The literal per-k
+tables that regenerate the same codes independently live with the tests
+(``tests/literal_oracles.py``).
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from .ideals import (IdealLabel, count_ideals, enumerate_ideals,
 
 __all__ = [
     "CyclicCode", "ThetaSet", "theta_set", "mate_label", "is_self_dual",
-    "enumerate_selfdual", "count_selfdual", "selfdual_k2_list",
-    "selfdual_k345_list", "enumerate_cyclic", "count_cyclic",
+    "enumerate_selfdual", "count_selfdual", "enumerate_cyclic", "count_cyclic",
     "family_60_30_8", "to_ambient_generators",
 ]
 
@@ -257,21 +256,21 @@ def selfdual_component_labels(fd: FactorData, j: int, k: int):
                 yield IdealLabel("two_gen_omega", i=i, t=t, s=k - i, omega=w)
 
 
-def assemble_codes(fd: FactorData, k: int, selfrec, pairs):
-    """Every code in the product of per-component choices, streaming.
-
-    ``selfrec(j)`` lists the labels allowed at self-reciprocal component j;
-    ``pairs(j)`` lists (label, mate label) tuples for pair representative j,
-    the mate label going to component ``fd.mate(j)``.  Codes come in
-    ``itertools.product`` order over components 0, 1, ..., in list order.
-    """
+def _build_code(fd: FactorData, k: int, choice) -> CyclicCode:
+    """The code taking one entry from each per-component list: a label per
+    self-reciprocal component, then a (label, mate label) tuple per pair
+    representative j, the mate label going to component ``fd.mate(j)``."""
     lam = fd.num_selfrec
-    lists = ([list(selfrec(j)) for j in range(lam)]
-             + [list(pairs(j)) for j in range(lam, lam + fd.num_pairs)])
-    for choice in itertools.product(*lists):
-        # self-reciprocal labels, then the pair labels, then their mates
-        yield CyclicCode._trusted(fd, k,
-                                  sum(zip(*choice[lam:]), choice[:lam]))
+    return CyclicCode._trusted(fd, k,
+                               sum(zip(*choice[lam:]), tuple(choice[:lam])))
+
+
+def _selfdual_lists(fd: FactorData, k: int) -> list[list]:
+    """The per-component lists of the self-dual codes (see _build_code)."""
+    return [list(selfdual_component_labels(fd, j, k)) if j < fd.num_selfrec
+            else [(lab, _mate_label(fd, j, lab, k))
+                  for lab in enumerate_ideals(fd, j, k)]
+            for j in fd.component_indices()]
 
 
 def enumerate_selfdual(n: int, m: int, k: int,
@@ -279,16 +278,15 @@ def enumerate_selfdual(n: int, m: int, k: int,
                        modulus: int | None = None):
     """All distinct self-dual cyclic codes of length 2n over F_{2^m}[u]/(u^k).
 
-    Streaming; the number of codes is ``count_selfdual(n, m, k)``.
+    Streaming, in ``itertools.product`` order over the per-component lists;
+    the number of codes is ``count_selfdual(n, m, k)``.
     """
     if k < 2:
         raise UnsupportedK("self-duality needs k >= 2")
     if fd is None:
         fd = factor_xn_minus_1(n, m, modulus)
-    return assemble_codes(
-        fd, k, lambda j: selfdual_component_labels(fd, j, k),
-        lambda j: ((lab, _mate_label(fd, j, lab, k))
-                   for lab in enumerate_ideals(fd, j, k)))
+    return (_build_code(fd, k, choice)
+            for choice in itertools.product(*_selfdual_lists(fd, k)))
 
 
 def count_selfdual(n: int, m: int, k: int,
@@ -332,206 +330,12 @@ def count_cyclic(n: int, m: int, k: int,
 
 
 # ---------------------------------------------------------------------------
-# independent per-k literal tables (cross-check generators)
+# the designated [60, 30, 8] family (n=15, m=1, k=2)
 # ---------------------------------------------------------------------------
 
 def _lab(kind, **kw) -> IdealLabel:
     return IdealLabel(kind, **kw)
 
-
-def _k2_selfrec(theta1):
-    yield _lab("u_pow", i=1)
-    yield _lab("u_f", s=0)
-    for w in theta1:
-        yield _lab("mixed_one", i=1, t=0, omega=(w,))
-
-
-def _k2_pairs(fd, j):
-    for i in range(3):
-        yield _lab("u_pow", i=i), _lab("u_pow", i=2 - i)
-    yield _lab("u_f", s=0), _lab("u_f", s=0)
-    yield _lab("u_f", s=1), _lab("two_gen", i=1, s=0)
-    yield _lab("two_gen", i=1, s=0), _lab("u_f", s=1)
-    ring = qt.field_ring(fd, j)
-    for w in ring.elements():
-        if w == P_ZERO:
-            continue
-        wp = qt.omega_prime(fd, j, (w,))
-        yield (_lab("mixed_one", i=1, t=0, omega=(w,)),
-               _lab("mixed_one", i=1, t=0, omega=wp))
-
-
-def _k3_selfrec(theta1):
-    yield _lab("u_f", s=0)
-    yield _lab("two_gen", i=2, s=1)
-    for w in theta1:
-        yield _lab("mixed_two", i=2, t=0, omega=(w,))
-
-
-def _k3_pairs(fd, j):
-    for i in range(4):
-        yield _lab("u_pow", i=i), _lab("u_pow", i=3 - i)
-    yield _lab("u_f", s=0), _lab("u_f", s=0)
-    for s_ in (1, 2):
-        yield _lab("u_f", s=s_), _lab("two_gen", i=3 - s_, s=0)
-    ring = qt.field_ring(fd, j)
-    nz = [w for w in ring.elements() if w != P_ZERO]
-    for w in nz:
-        wp = qt.omega_prime(fd, j, (w,))
-        yield (_lab("mixed_one", i=1, t=0, omega=(w,)),
-               _lab("mixed_one", i=2, t=1, omega=wp))
-        yield (_lab("mixed_one", i=2, t=1, omega=(w,)),
-               _lab("mixed_one", i=1, t=0, omega=wp))
-        yield (_lab("mixed_two", i=2, t=0, omega=(w,)),
-               _lab("mixed_two", i=2, t=0, omega=wp))
-    for i in range(1, 3):
-        for s_ in range(i):
-            mate = (_lab("u_f", s=3 - i) if s_ == 0
-                    else _lab("two_gen", i=3 - s_, s=3 - i))
-            yield _lab("two_gen", i=i, s=s_), mate
-
-
-def _k4_selfrec(theta1):
-    yield _lab("u_pow", i=2)
-    yield _lab("u_f", s=0)
-    for w in theta1:
-        yield _lab("mixed_one", i=2, t=1, omega=(w,))
-    rest = (P_ZERO,) + tuple(theta1)
-    for a0 in theta1:
-        for a1 in rest:
-            yield _lab("mixed_one", i=2, t=0, omega=(a0, a1))
-    for w in theta1:
-        yield _lab("mixed_two", i=3, t=0, omega=(w,))
-    yield _lab("two_gen", i=3, s=1)
-
-
-def _k4_pairs(fd, j):
-    for i in range(5):
-        yield _lab("u_pow", i=i), _lab("u_pow", i=4 - i)
-    yield _lab("u_f", s=0), _lab("u_f", s=0)
-    for s_ in (1, 2, 3):
-        yield _lab("u_f", s=s_), _lab("two_gen", i=4 - s_, s=0)
-    ring = qt.field_ring(fd, j)
-    nz = [w for w in ring.elements() if w != P_ZERO]
-    for i in (1, 2, 3):
-        for w in nz:
-            wp = qt.omega_prime(fd, j, (w,))
-            yield (_lab("mixed_one", i=i, t=i - 1, omega=(w,)),
-                   _lab("mixed_one", i=4 - i, t=3 - i, omega=wp))
-    for a0 in nz:
-        for a1 in ring.elements():
-            th = (a0, a1)
-            thp = qt.omega_prime(fd, j, th)
-            yield (_lab("mixed_one", i=2, t=0, omega=th),
-                   _lab("mixed_one", i=2, t=0, omega=thp))
-    for w in nz:
-        wp = qt.omega_prime(fd, j, (w,))
-        yield (_lab("mixed_two", i=3, t=0, omega=(w,)),
-               _lab("mixed_two", i=3, t=0, omega=wp))
-        yield (_lab("mixed_two", i=3, t=1, omega=(w,)),
-               _lab("two_gen_omega", i=2, t=0, s=1, omega=wp))
-        yield (_lab("two_gen_omega", i=2, t=0, s=1, omega=(w,)),
-               _lab("mixed_two", i=3, t=1, omega=wp))
-    for i in range(1, 4):
-        for s_ in range(i):
-            mate = (_lab("u_f", s=4 - i) if s_ == 0
-                    else _lab("two_gen", i=4 - s_, s=4 - i))
-            yield _lab("two_gen", i=i, s=s_), mate
-
-
-def _k5_selfrec(theta1):
-    yield _lab("u_f", s=0)
-    rest = (P_ZERO,) + tuple(theta1)
-    for a0 in theta1:
-        for a1 in rest:
-            yield _lab("mixed_two", i=3, t=0, omega=(a0, a1))
-    for w in theta1:
-        yield _lab("mixed_two", i=4, t=0, omega=(w,))
-    yield _lab("two_gen", i=3, s=2)
-    yield _lab("two_gen", i=4, s=1)
-    for w in theta1:
-        yield _lab("two_gen_omega", i=3, t=1, s=2, omega=(w,))
-
-
-def _k5_pairs(fd, j):
-    for i in range(6):
-        yield _lab("u_pow", i=i), _lab("u_pow", i=5 - i)
-    yield _lab("u_f", s=0), _lab("u_f", s=0)
-    for s_ in (1, 2, 3, 4):
-        yield _lab("u_f", s=s_), _lab("two_gen", i=5 - s_, s=0)
-    ring = qt.field_ring(fd, j)
-    nz = [w for w in ring.elements() if w != P_ZERO]
-    for i in (1, 2, 3, 4):
-        for w in nz:
-            wp = qt.omega_prime(fd, j, (w,))
-            yield (_lab("mixed_one", i=i, t=i - 1, omega=(w,)),
-                   _lab("mixed_one", i=5 - i, t=4 - i, omega=wp))
-    for a0 in nz:
-        for a1 in ring.elements():
-            th = (a0, a1)
-            thp = qt.omega_prime(fd, j, th)
-            yield (_lab("mixed_one", i=2, t=0, omega=th),
-                   _lab("mixed_one", i=3, t=1, omega=thp))
-            yield (_lab("mixed_one", i=3, t=1, omega=th),
-                   _lab("mixed_one", i=2, t=0, omega=thp))
-            yield (_lab("mixed_two", i=3, t=0, omega=th),
-                   _lab("mixed_two", i=3, t=0, omega=thp))
-    for w in nz:
-        wp = qt.omega_prime(fd, j, (w,))
-        yield (_lab("mixed_two", i=4, t=0, omega=(w,)),
-               _lab("mixed_two", i=4, t=0, omega=wp))
-        yield (_lab("mixed_two", i=4, t=1, omega=(w,)),
-               _lab("two_gen_omega", i=3, t=0, s=1, omega=wp))
-        yield (_lab("mixed_two", i=4, t=2, omega=(w,)),
-               _lab("two_gen_omega", i=2, t=0, s=1, omega=wp))
-        yield (_lab("two_gen_omega", i=2, t=0, s=1, omega=(w,)),
-               _lab("mixed_two", i=4, t=2, omega=wp))
-        yield (_lab("two_gen_omega", i=3, t=0, s=1, omega=(w,)),
-               _lab("mixed_two", i=4, t=1, omega=wp))
-        yield (_lab("two_gen_omega", i=3, t=1, s=2, omega=(w,)),
-               _lab("two_gen_omega", i=3, t=1, s=2, omega=wp))
-    for i in range(1, 5):
-        for s_ in range(i):
-            mate = (_lab("u_f", s=5 - i) if s_ == 0
-                    else _lab("two_gen", i=5 - s_, s=5 - i))
-            yield _lab("two_gen", i=i, s=s_), mate
-
-
-_SELFREC_TABLES = {2: _k2_selfrec, 3: _k3_selfrec, 4: _k4_selfrec,
-                   5: _k5_selfrec}
-_PAIR_TABLES = {2: _k2_pairs, 3: _k3_pairs, 4: _k4_pairs, 5: _k5_pairs}
-
-
-def _list_from_tables(fd: FactorData, k: int):
-    selfrec_fn, pair_fn = _SELFREC_TABLES[k], _PAIR_TABLES[k]
-    return assemble_codes(
-        fd, k,
-        lambda j: selfrec_fn([w[0] for w in theta_set(fd, j, 1).members]),
-        lambda j: pair_fn(fd, j))
-
-
-def selfdual_k2_list(n: int, m: int, fd: FactorData | None = None,
-                     modulus: int | None = None):
-    """Self-dual codes for k=2 from the literal closed table (cross-check)."""
-    if fd is None:
-        fd = factor_xn_minus_1(n, m, modulus)
-    return _list_from_tables(fd, 2)
-
-
-def selfdual_k345_list(n: int, m: int, k: int,
-                       fd: FactorData | None = None,
-                       modulus: int | None = None):
-    """Self-dual codes for k in {3,4,5} from literal tables (cross-check)."""
-    if k not in (3, 4, 5):
-        raise UnsupportedK(f"no literal table for k={k}")
-    if fd is None:
-        fd = factor_xn_minus_1(n, m, modulus)
-    return _list_from_tables(fd, k)
-
-
-# ---------------------------------------------------------------------------
-# the designated [60, 30, 8] family (n=15, m=1, k=2)
-# ---------------------------------------------------------------------------
 
 def family_60_30_8(fd: FactorData | None = None) -> list[CyclicCode]:
     """The 48 self-dual codes of length 30 over F_2[u]/(u^2) whose Gray

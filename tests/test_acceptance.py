@@ -18,15 +18,15 @@ import time
 
 import pytest
 
+from literal_oracles import count_ideals_closed, selfdual_k345_list
 from ucyclic import duality as du
 from ucyclic import oracle as orc
 from ucyclic.cyclotomic import factor_xn_minus_1
 from ucyclic.gray import generator_matrix, lee_distribution, min_distance, \
     weight_distribution
-from ucyclic.ideals import count_ideals, count_ideals_closed, enumerate_ideals
+from ucyclic.ideals import count_ideals, enumerate_ideals
 from ucyclic.selfdual import (count_selfdual, enumerate_cyclic,
-                              enumerate_selfdual, family_60_30_8,
-                              selfdual_k345_list, theta_set,
+                              enumerate_selfdual, family_60_30_8, theta_set,
                               to_ambient_generators)
 
 _FD: dict = {}

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucyclic import cli
+from ucyclic import duality as du
 from ucyclic import gray as gr
 from ucyclic import selfdual as sd
 from ucyclic.gf import f2x_degree, f2x_is_irreducible
@@ -263,10 +264,68 @@ def test_gray_code_from_file(tmp_path, capsys):
 # verify / exit codes
 # ---------------------------------------------------------------------------
 
+def verify_rows(out: str) -> list[tuple[str, str]]:
+    """(status, check name) per PASS/FAIL/SKIP line of a verify report."""
+    return re.findall(r"^(PASS|FAIL|SKIP)  (.+?)  \(", out, re.M)
+
+
+VERIFY_3_1_2 = ["ideal-census j=0", "ideal-census j=1", "theta j=1 s=1",
+                "selfdual-count", "selfdual-membership", "selfdual-filter",
+                "hull-oracle", "selforth-count", "selforth-membership",
+                "gray-genmatrix"]
+
+
 def test_verify_passes(capsys):
     rc, out = run(capsys, "verify", "--n", "3", "--m", "1", "--k", "2")
     assert rc == 0
-    assert "FAIL" not in out and "all checks passed" in out
+    assert verify_rows(out) == [("PASS", name) for name in VERIFY_3_1_2]
+    assert out.endswith("all checks passed\n")
+
+
+def test_verify_samples_past_the_old_ambient_cap(capsys):
+    """Length 30 checks membership and hulls on 200 drawn codes each; only
+    the exhaustive walks are refused, each naming its size."""
+    rc, out = run(capsys, "verify", "--n", "15", "--m", "1", "--k", "2")
+    assert rc == 0
+    rows = dict((name, status) for status, name in verify_rows(out))
+    for name in ("selfdual-membership", "hull-oracle", "selforth-membership"):
+        assert rows[name] == "PASS"
+        assert f"PASS  {name}  (200 codes" in out
+    assert [n for n, st in rows.items() if st == "SKIP"] == [
+        "ideal-census j=2", "ideal-census j=3", "selfdual-filter"]
+    assert "SKIP  selfdual-filter  (walk of 2^60 vectors of R^(2n) > " \
+        "cap 2^14)" in out
+    assert "SKIP  ideal-census j=2  (walk of 2^16 vectors" in out
+
+
+def test_verify_skips_duality_rows_off_k2(capsys):
+    rc, out = run(capsys, "verify", "--n", "1", "--m", "1", "--k", "3")
+    assert rc == 0
+    assert verify_rows(out) == [
+        ("PASS", "ideal-census j=0"), ("PASS", "selfdual-count"),
+        ("PASS", "selfdual-membership"), ("PASS", "selfdual-filter"),
+        ("SKIP", "hull-oracle"), ("SKIP", "selforth-count"),
+        ("SKIP", "selforth-membership"), ("SKIP", "gray-genmatrix")]
+    assert out.count("k = 2 only") == 4
+
+
+@pytest.mark.parametrize("module,name,broken,failing", [
+    (du, "hull", lambda orig: lambda code: code, ["hull-oracle"]),
+    (sd, "count_selfdual",
+     lambda orig: lambda *a, **kw: orig(*a, **kw) + 1,
+     ["selfdual-count", "selfdual-filter"]),
+    (du, "count_selforthogonal",
+     lambda orig: lambda *a, **kw: orig(*a, **kw) + 1, ["selforth-count"]),
+], ids=["hull", "count_selfdual", "count_selforthogonal"])
+def test_verify_fails_on_broken_closed_form(capsys, monkeypatch, module,
+                                            name, broken, failing):
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
+    rc, out = run(capsys, "verify", "--n", "3", "--m", "1", "--k", "2")
+    assert rc == 3
+    rows = verify_rows(out)
+    assert [n for _, n in rows] == VERIFY_3_1_2
+    assert [n for st, n in rows if st == "FAIL"] == failing
+    assert f"{len(failing)} check(s) FAILED" in out
 
 
 def test_exit_code_bad_descriptor(capsys):

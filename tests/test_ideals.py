@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from literal_oracles import count_ideals_by_shape, count_ideals_closed
 from ucyclic import quotient as qt
-from ucyclic.ideals import (IdealLabel, count_ideals, count_ideals_by_shape,
-                            count_ideals_closed, enumerate_ideals,
+from ucyclic.ideals import (IdealLabel, count_ideals, enumerate_ideals,
                             ideal_generators, ideal_members, ideal_size_log2,
                             validate_label)
 

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from literal_oracles import selfdual_k2_list, selfdual_k345_list
 from ucyclic import duality as du
 from ucyclic import quotient as qt
 from ucyclic.errors import BadDescriptor, UnsupportedK
@@ -14,8 +15,7 @@ from ucyclic.oracle import brute_is_selfdual, span_code
 from ucyclic.selfdual import (CyclicCode, count_cyclic, count_selfdual,
                               enumerate_cyclic, enumerate_selfdual,
                               family_60_30_8, is_self_dual, mate_label,
-                              selfdual_k2_list, selfdual_k345_list, theta_set,
-                              to_ambient_generators)
+                              theta_set, to_ambient_generators)
 
 
 def _polyset(ctx, ts):
