@@ -39,6 +39,10 @@ Output conventions
 Enumerations emit one JSON object per line and honour ``--limit``; tables are
 CSV; everything else is a single JSON object.  Matrix rows are hex-packed in
 the same m-bits-per-symbol convention.  All output is deterministic.
+``enum-selfdual`` and ``enum-selforth`` encode each component label once per
+stream and join the encoded labels per line.  In-process ``main`` calls reuse
+the factorisation of x^n - 1 across descriptors of one field (see
+``FACTOR_MEMO_SIZE``).
 
 Exit codes: 0 success; 2 usage error or malformed descriptor; 3 verification
 failure; 4 instance over a resource cap.  ``--threads`` caps worker threads
@@ -64,9 +68,10 @@ from . import gray as gr
 from . import ideals as il
 from . import oracle as orc
 from . import selfdual as sd
-from .cyclotomic import FactorData, cyclotomic_cosets, factor_xn_minus_1
+from .cyclotomic import (MAX_M, FactorData, cyclotomic_cosets,
+                         factor_xn_minus_1)
 from .errors import BadDescriptor, NotSelfDual, TooLarge, UcyclicError
-from .gf import poly_from_key, poly_key
+from .gf import default_modulus, poly_from_key, poly_key
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -79,6 +84,7 @@ EXIT_TOOLARGE = 4
 # ---------------------------------------------------------------------------
 
 _HEXPOLY = re.compile(r"0x[0-9a-f]+")     # the schemas' hexpoly pattern
+_encode = json.JSONEncoder(separators=(", ", ": ")).encode
 
 
 def _int_from_hex(s, what: str) -> int:
@@ -130,17 +136,55 @@ def parse_label(ctx, obj) -> il.IdealLabel:
     return il.IdealLabel(kind, omega=omega, **params)
 
 
+def _envelope(fd: FactorData, k: int, components: list) -> dict:
+    """A CodeDescriptor; its key order is the wire order of every code."""
+    return {"n": fd.n, "m": fd.m, "k": k, "modulus": hex(fd.ctx.modulus),
+            "components": components}
+
+
 def format_code(code: sd.CyclicCode) -> dict:
     """CodeDescriptor for a code; parse_code inverts it losslessly."""
     ctx = code.fd.ctx
-    return {
-        "n": code.n,
-        "m": code.m,
-        "k": code.k,
-        "modulus": hex(ctx.modulus),
-        "components": [{"j": j} | format_label(ctx, lab)
-                       for j, lab in enumerate(code.components)],
-    }
+    return _envelope(code.fd, code.k,
+                     [{"j": j} | format_label(ctx, lab)
+                      for j, lab in enumerate(code.components)])
+
+
+def _stream_codes(fd: FactorData, k: int, lists: list[list],
+                  limit: int | None) -> None:
+    """Write the codes of ``itertools.product(*lists)`` (the per-component
+    lists of ``sd._build_code``) as descriptor lines, the first ``limit``.
+
+    Each list entry is encoded once, as the JSON text of its component; a
+    line joins one fragment per component in component order, so it holds
+    the bytes ``_emit(format_code(code))`` writes for the same code.
+    """
+    lam = fd.num_selfrec
+
+    def fragment(j, label):
+        return _encode({"j": j} | format_label(fd.ctx, label))
+
+    encoded = [[fragment(j, lab) for lab in lst] if j < lam
+               else [(fragment(j, a), fragment(fd.mate(j), b)) for a, b in lst]
+               for j, lst in enumerate(lists)]
+    head = _encode(_envelope(fd, k, []))[:-2]      # up to the "[" of the list
+    sys.stdout.writelines(
+        head + ", ".join(sum(zip(*choice[lam:]), choice[:lam])) + "]}\n"
+        for choice in itertools.islice(itertools.product(*encoded), limit))
+
+
+# Fields whose factorisation parse_code keeps for the next descriptor.  The
+# CLI passes it no FactorData, so in-process callers of ``main`` would factor
+# x^n - 1 again for every descriptor; a shell command factors once either way.
+FACTOR_MEMO_SIZE = 8
+
+
+@functools.lru_cache(maxsize=FACTOR_MEMO_SIZE)
+def _factored(n: int, m: int, modulus: int | None) -> FactorData:
+    """factor_xn_minus_1 behind the memo.  The module global is looked up on
+    each miss, so a wrapper installed on it counts the misses; a call that
+    raises leaves nothing in the memo."""
+    return factor_xn_minus_1(n, m, modulus)
 
 
 def parse_code(obj, fd: FactorData | None = None) -> sd.CyclicCode:
@@ -158,8 +202,10 @@ def parse_code(obj, fd: FactorData | None = None) -> sd.CyclicCode:
         modulus = _int_from_hex(obj["modulus"], "modulus")
     if fd is None or fd.n != n or fd.m != m or (
             modulus is not None and fd.ctx.modulus != modulus):
+        if modulus is None and m <= MAX_M:  # above the cap factoring refuses
+            modulus = default_modulus(m)    # one memo entry per field
         try:
-            fd = factor_xn_minus_1(n, m, modulus)
+            fd = _factored(n, m, modulus)
         except ValueError as exc:
             raise BadDescriptor(str(exc)) from None
     comps = obj.get("components")
@@ -243,9 +289,8 @@ def _cmd_enum_ideals(args) -> int:
     # at n = 1 over F_q itself
     e = _q_to_field(args.q)
     fd = factor_xn_minus_1(1, e)
-    for idx, lab in enumerate(il.enumerate_ideals(fd, 0, args.k)):
-        if args.limit is not None and idx >= args.limit:
-            break
+    for lab in itertools.islice(il.enumerate_ideals(fd, 0, args.k),
+                                args.limit):
         line = format_label(fd.ctx, lab)
         line["size_log2"] = il.ideal_size_log2(lab, e, 1, args.k)
         _emit(line)
@@ -258,11 +303,9 @@ def _cmd_count_selfdual(args) -> int:
 
 
 def _cmd_enum_selfdual(args) -> int:
-    gen = sd.enumerate_selfdual(args.n, args.m, args.k, modulus=args.modulus)
-    for idx, code in enumerate(gen):
-        if args.limit is not None and idx >= args.limit:
-            break
-        _emit(format_code(code))
+    sd._check_k(args.k)
+    fd = factor_xn_minus_1(args.n, args.m, args.modulus)
+    _stream_codes(fd, args.k, sd._selfdual_lists(fd, args.k), args.limit)
     return EXIT_OK
 
 
@@ -272,11 +315,8 @@ def _cmd_count_selforth(args) -> int:
 
 
 def _cmd_enum_selforth(args) -> int:
-    gen = du.enumerate_selforthogonal(args.n, args.m, modulus=args.modulus)
-    for idx, code in enumerate(gen):
-        if args.limit is not None and idx >= args.limit:
-            break
-        _emit(format_code(code))
+    fd = factor_xn_minus_1(args.n, args.m, args.modulus)
+    _stream_codes(fd, 2, du._selforth_lists(fd), args.limit)
     return EXIT_OK
 
 
@@ -482,6 +522,13 @@ def _hex_int(s: str) -> int:
     return int(s, 16)
 
 
+def _limit(s: str) -> int:
+    n = int(s)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _default_threads() -> int:
     """UCYCLIC_THREADS as it reads now (1 if unset or not an integer)."""
     try:
@@ -524,7 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enum-ideals", help="stream component ideal labels")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_limit, default=None,
+                   help="print at most this many lines")
     p.set_defaults(func=_cmd_enum_ideals)
 
     p = sub.add_parser("count-selfdual", help="count self-dual cyclic codes")
@@ -533,7 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enum-selfdual", help="stream self-dual cyclic codes")
     _add_nmk(p)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_limit, default=None,
+                   help="print at most this many lines")
     p.set_defaults(func=_cmd_enum_selfdual)
 
     p = sub.add_parser("count-selforth",
@@ -544,7 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enum-selforth",
                        help="stream self-orthogonal cyclic codes (k = 2)")
     _add_nmk(p, k=False)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_limit, default=None,
+                   help="print at most this many lines")
     p.set_defaults(func=_cmd_enum_selforth)
 
     p = sub.add_parser("hull", help="hull of a described code (k = 2)")

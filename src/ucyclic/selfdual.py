@@ -273,6 +273,12 @@ def _selfdual_lists(fd: FactorData, k: int) -> list[list]:
             for j in fd.component_indices()]
 
 
+def _check_k(k: int) -> None:
+    """UnsupportedK unless k >= 2, the least k with self-dual codes."""
+    if k < 2:
+        raise UnsupportedK("self-duality needs k >= 2")
+
+
 def enumerate_selfdual(n: int, m: int, k: int,
                        fd: FactorData | None = None,
                        modulus: int | None = None):
@@ -281,8 +287,7 @@ def enumerate_selfdual(n: int, m: int, k: int,
     Streaming, in ``itertools.product`` order over the per-component lists;
     the number of codes is ``count_selfdual(n, m, k)``.
     """
-    if k < 2:
-        raise UnsupportedK("self-duality needs k >= 2")
+    _check_k(k)
     if fd is None:
         fd = factor_xn_minus_1(n, m, modulus)
     return (_build_code(fd, k, choice)
@@ -293,8 +298,7 @@ def count_selfdual(n: int, m: int, k: int,
                    fd: FactorData | None = None,
                    modulus: int | None = None) -> int:
     """Number of self-dual cyclic codes of length 2n over F_{2^m}[u]/(u^k)."""
-    if k < 2:
-        raise UnsupportedK("self-duality needs k >= 2")
+    _check_k(k)
     selfrec, pairs = factor_degrees(n, m, fd, modulus)
     total = sum(1 << (m * s) for s in range(k // 2 + 1))
     for d in selfrec:

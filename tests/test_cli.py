@@ -559,6 +559,95 @@ def test_wire_bytes_match_json_dump(monkeypatch):
     assert len(factor["idempotents"]) == len(factor["factors"]) == 7
 
 
+# (argv, the library's enumeration of the same codes) for each stream
+STREAMED = [
+    (["enum-selfdual", "--n", "3", "--m", "2", "--k", "4"],
+     lambda: enumerate_selfdual(3, 2, 4)),
+    (["enum-selfdual", "--n", "3", "--m", "3", "--k", "2", "--modulus", "d"],
+     lambda: enumerate_selfdual(3, 3, 2, modulus=0xd)),
+    (["enum-selfdual", "--n", "15", "--m", "1", "--k", "3"],
+     lambda: enumerate_selfdual(15, 1, 3)),
+    (["enum-selfdual", "--n", "1", "--m", "1", "--k", "5"],
+     lambda: enumerate_selfdual(1, 1, 5)),
+    (["enum-selfdual", "--n", "9", "--m", "2", "--k", "2"],   # two pairs
+     lambda: enumerate_selfdual(9, 2, 2)),
+    (["enum-selforth", "--n", "5", "--m", "1"],
+     lambda: du.enumerate_selforthogonal(5, 1)),
+    (["enum-selforth", "--n", "1", "--m", "3"],
+     lambda: du.enumerate_selforthogonal(1, 3)),
+]
+
+
+@pytest.mark.parametrize("argv, codes", STREAMED,
+                         ids=[" ".join(a[1:]) for a, _ in STREAMED])
+def test_stream_lines_are_json_dumps_of_format_code(argv, codes):
+    want = [json.dumps(cli.format_code(c), separators=(", ", ": ")) + "\n"
+            for c in codes()]
+    rc, out, err = call(argv)
+    assert (rc, err) == (0, "") and out.splitlines(keepends=True) == want
+    for limit in (0, 1, 7):
+        rc, out, err = call(argv + ["--limit", str(limit)])
+        assert (rc, err) == (0, "") and out == "".join(want[:limit])
+
+
+def _factor_calls(monkeypatch) -> list:
+    from ucyclic.cyclotomic import factor_xn_minus_1
+    seen = []
+
+    def counting(*args):
+        seen.append(args)
+        return factor_xn_minus_1(*args)
+    monkeypatch.setattr(cli, "factor_xn_minus_1", counting)
+    cli._factored.cache_clear()
+    return seen
+
+
+def _u_code(n: int, m: int, modulus: str, r: int) -> dict:
+    return {"n": n, "m": m, "k": 2, "modulus": modulus,
+            "components": [{"j": j, "kind": "u_pow", "i": 1}
+                           for j in range(r)]}
+
+
+def test_descriptors_of_one_field_factor_once(monkeypatch):
+    seen = _factor_calls(monkeypatch)
+    codes = list(enumerate_selfdual(7, 3, 2))[::2000]
+    parsed = []
+    for code in codes:
+        desc = cli.format_code(code)
+        bare = {key: v for key, v in desc.items() if key != "modulus"}
+        for obj in (desc, bare):
+            for cmd in ("hull", "gray"):
+                rc, out, err = call([cmd, "--code", json.dumps(obj)])
+                assert rc == 0 and out and not err
+            parsed.append(cli.parse_code(obj))
+    assert len(codes) > 3 and seen == [(7, 3, 0xb)]
+    assert all(c.fd is parsed[0].fd for c in parsed)
+    # another modulus of F_8 is another field, factored apart
+    other = cli.parse_code(_u_code(7, 3, "0xd", 7))
+    assert seen[1:] == [(7, 3, 0xd)] and other.fd is not parsed[0].fd
+
+
+def test_bad_field_is_not_memoised(monkeypatch):
+    seen = _factor_calls(monkeypatch)
+    bad = json.dumps(_u_code(7, 3, "0x9", 7))      # y^3 + 1 is reducible
+    for cmd in ("hull", "gray", "hull"):
+        assert call([cmd, "--code", bad])[:2] == (2, "")
+    assert len(seen) == 3 and cli._factored.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["enum-ideals", "--q", "4", "--k", "3"],
+    ["enum-selfdual", "--n", "5", "--m", "1", "--k", "2"],
+    ["enum-selforth", "--n", "5", "--m", "1"],
+], ids=lambda argv: argv[0])
+def test_negative_limit_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--limit", "-1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--limit: must be >= 0" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # fuzzing the descriptor boundary: every mutation below is malformed
 # ---------------------------------------------------------------------------
