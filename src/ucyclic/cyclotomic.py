@@ -59,18 +59,6 @@ def _mult_order(a: int, n: int) -> int:
     return t
 
 
-def _find_field_generator(ctx: FieldCtx) -> int:
-    """Smallest int generating the multiplicative group of ctx."""
-    q1 = ctx.order - 1
-    if q1 == 1:
-        return 1
-    exps = [q1 // p for p in gf._factorint(q1)]
-    for g in range(2, ctx.order):
-        if all(ctx.pow(g, e) != 1 for e in exps):
-            return g
-    raise AssertionError("no field generator found")
-
-
 class _SplittingField:
     """F_{2^M} containing F_{2^m} and a primitive n-th root of unity."""
 
@@ -78,7 +66,7 @@ class _SplittingField:
         t = _mult_order(base.order % n, n) if n > 1 else 1
         self.big = FieldCtx(base.m * t) if t > 1 else base
         self.base = base
-        g = _find_field_generator(self.big)
+        g = gf.find_generator(self.big)
         self.root = self.big.pow(g, (self.big.order - 1) // n)  # order exactly n
         self._build_embedding(g)
 
@@ -182,9 +170,6 @@ class FactorData:
         if j < lam + eps:
             return j + eps
         return j - eps
-
-    def is_pair_rep(self, j: int) -> bool:
-        return self.num_selfrec <= j < self.num_selfrec + self.num_pairs
 
     def component_indices(self):
         """Indices driving enumeration: all self-reciprocal plus pair reps."""

@@ -197,24 +197,10 @@ class FieldCtx:
             self._build_tables()
 
     def _build_tables(self):
-        # Find a multiplicative generator by direct cycle-length check.
-        q1 = self.order - 1
-        exp = [1]
-        for g in range(2, self.order):
-            exp = [1] * q1
-            x = 1
-            ok = True
-            for i in range(1, q1):
-                x = f2x_mulmod(x, g, self.modulus)
-                if x == 1:
-                    ok = False
-                    break
-                exp[i] = x
-            if ok:
-                break
-        else:
-            if q1 != 1:  # m == 1 has the trivial unit group
-                raise AssertionError("no generator found")
+        exp = [1] * (self.order - 1)
+        g = find_generator(self)        # tables not built yet: f2x_mulmod
+        for i in range(1, len(exp)):
+            exp[i] = f2x_mulmod(exp[i - 1], g, self.modulus)
         log = [0] * self.order
         for i, v in enumerate(exp):
             log[v] = i
@@ -260,6 +246,18 @@ class FieldCtx:
 
     def __repr__(self):
         return f"FieldCtx(m={self.m}, modulus={self.modulus:#x})"
+
+
+def find_generator(ctx: FieldCtx) -> int:
+    """Smallest int generating the multiplicative group of ctx."""
+    q1 = ctx.order - 1
+    if q1 == 1:
+        return 1
+    exps = [q1 // p for p in _factorint(q1)]
+    for g in range(2, ctx.order):
+        if all(ctx.pow(g, e) != 1 for e in exps):
+            return g
+    raise AssertionError("no field generator found")
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +381,16 @@ def reciprocal(a: Poly) -> Poly:
     return poly_trim(reversed(a))
 
 
-def poly_key(ctx: FieldCtx, a: Poly) -> int:
-    """Canonical integer key: sum of c_i * 2^(m*i)."""
+_DIGITS = bytes.maketrans(bytes(range(32)), b"0123456789abcdefghijklmnopqrstuv")
+
+
+def poly_key(ctx: FieldCtx, a) -> int:
+    """Canonical integer key: sum of c_i * 2^(m*i), for any sequence of
+    field elements (also the lane-packed form of a row of symbols)."""
+    if ctx.m <= 5 and len(a) > 4:
+        # one base-2^m digit per coefficient, last one first; the shift loop
+        # below is faster on four coefficients or fewer
+        return int(bytes(a[::-1]).translate(_DIGITS), ctx.order)
     key = 0
     for i, c in enumerate(a):
         key |= c << (ctx.m * i)

@@ -6,12 +6,15 @@ the length-4n vector (b_0..b_{2n-1}, a_0+b_0..a_{2n-1}+b_{2n-1}) over
 F_{2^m}.  Lee weight on R matches Hamming weight downstairs, duality is
 preserved, and the image of a cyclic code is 2-quasi-cyclic.
 
+A :class:`GenMatrix` stores its rows lane-packed (``gm.rows`` unpacks them).
 For self-dual codes the generator matrix of the image is assembled from
 circulant blocks E = [eps_j]_{d_j}, F = [f_j eps_j]_{d_j} and
 W = [(1+f_j w) eps_j]_{d_j}: one 2d_j x 4n block per self-reciprocal
 component and one 4d_j x 4n block per reciprocal pair, by a fixed shape
-table.  Arbitrary (non-self-dual) codes get a matrix from the generic
-basis route (:func:`gray_image_matrix`).
+table, each block's rows packed once per FactorData by lane rotation.
+Arbitrary codes get a matrix from the generic basis route
+(:func:`gray_image_matrix`), which packs the Gray images of the oracle's
+basis and reduces them.
 
 Weight distributions walk the full message space with Gray-code row
 updates; every m dispatches to :mod:`ucyclic._kernels`.  Minimum distances
@@ -22,18 +25,18 @@ enumerate only low-weight messages on information sets (Brouwer-Zimmermann,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from ._kernels import MAX_CENSUS_DIM, weight_census
 from .duality import shape_k2
 from .errors import (DimensionTooLarge, MinDistOfTrivial, NotSelfDual,
                      UnsupportedK)
-from .gf import FieldCtx, P_ZERO, Poly, f2x_mod, poly_add, poly_mulmod
+from .cyclotomic import FactorData
+from .gf import FieldCtx, Poly, f2x_mod, poly_add, poly_key, poly_mulmod
 from .oracle import span_code
 from .selfdual import CyclicCode, is_self_dual, to_ambient_generators
 
 __all__ = [
-    "GenMatrix", "gray_map", "gray_map_packed", "unpack_ambient", "circulant",
+    "GenMatrix", "gray_map_packed", "unpack_ambient",
     "generator_matrix", "gray_image_matrix", "weight_distribution",
     "min_distance", "is_2_quasi_cyclic", "gram_is_zero", "lee_weight",
     "lee_weight_vector", "lee_distribution", "rref_fq",
@@ -45,26 +48,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 #
 # A row of symbols is one int with symbol i at bits [m*i, m*i + m) (the
-# layout of the ``gray`` CLI's hex rows).  Adding rows is one XOR; scaling by
+# layout of the ``gray`` CLI's hex rows; ``poly_key`` packs a row of symbols
+# this way, ``_unpack`` reads it back).  Adding rows is one XOR; scaling by
 # a field constant c multiplies each bit plane (v >> t) & low, which holds one
 # 0/1 bit per lane, by the symbol c * y^t, so no product crosses a lane.
 
 def _lane_low(m: int, ncols: int) -> int:
     """The int with bit 0 of each of the ncols lanes set."""
     return ((1 << (m * ncols)) - 1) // ((1 << m) - 1)
-
-
-_DIGITS = bytes.maketrans(bytes(range(32)), b"0123456789abcdefghijklmnopqrstuv")
-
-
-def _pack(m: int, row) -> int:
-    """Lane-pack a sequence of symbols."""
-    if m <= 5:  # one base-2^m digit per symbol, last symbol first
-        return int(bytes(row[::-1]).translate(_DIGITS) or b"0", 1 << m)
-    v = 0
-    for i, x in enumerate(row):
-        v |= x << (m * i)
-    return v
 
 
 def _unpack(m: int, v: int, ncols: int) -> tuple[int, ...]:
@@ -135,31 +126,27 @@ def _systematic(ctx: FieldCtx, rows, lanes, low: int):
     return rows, pivots
 
 
+def _rref(ctx: FieldCtx, packed, ncols: int):
+    """Reduced row echelon form of lane-packed rows: (rows, pivot lanes)."""
+    low = _lane_low(ctx.m, ncols)
+    return _systematic(ctx, _echelon(ctx, packed, low).values(), range(ncols),
+                       low)
+
+
 def rref_fq(ctx: FieldCtx, rows) -> tuple[list[tuple[int, ...]], list[int]]:
     """Reduced row echelon form over F_{2^m}; leftmost-pivot convention."""
     rows = list(rows)
     if not rows:
         return [], []
-    ncols, m = len(rows[0]), ctx.m
-    low = _lane_low(m, ncols)
-    basis = _echelon(ctx, [_pack(m, tuple(r)) for r in rows], low)
-    reduced, pivots = _systematic(ctx, basis.values(), range(ncols), low)
-    return [_unpack(m, v, ncols) for v in reduced], pivots
+    ncols = len(rows[0])
+    reduced, pivots = _rref(ctx, [poly_key(ctx, tuple(r)) for r in rows],
+                            ncols)
+    return [_unpack(ctx.m, v, ncols) for v in reduced], pivots
 
 
 # ---------------------------------------------------------------------------
 # the Gray map
 # ---------------------------------------------------------------------------
-
-def gray_map(xi) -> tuple[int, ...]:
-    """Map an R-vector, given as (a_i, b_i) pairs, to (b | a+b) over F_{2^m}."""
-    pairs = list(xi)
-    for p in pairs:
-        if len(p) != 2:
-            raise UnsupportedK("the Gray map is defined for k=2 coefficients")
-    return (tuple(b for _, b in pairs)
-            + tuple(a ^ b for a, b in pairs))
-
 
 def unpack_ambient(v: int, n: int, m: int, k: int):
     """Bit-packed vector of R^(2n) -> tuple of k-tuples of field symbols."""
@@ -170,11 +157,23 @@ def unpack_ambient(v: int, n: int, m: int, k: int):
     return tuple(out)
 
 
+def _gray_lanes(v: int, n2: int, m: int) -> int:
+    """Lane-packed Gray image (b | a+b) of a length-n2 ambient vector in the
+    oracle bit layout, where coordinate c holds a in m-bit slot 2c and b in
+    slot 2c + 1."""
+    digits = format(v, f"0{2 * m * n2}b")         # highest slot first
+    slots = [digits[i:i + m] for i in range(0, len(digits), m)]
+    a = int("".join(slots[1::2]), 2)
+    b = int("".join(slots[0::2]), 2)
+    return b | (a ^ b) << (m * n2)
+
+
 def gray_map_packed(v: int, n: int, m: int, k: int = 2) -> tuple[int, ...]:
     """Gray image of a bit-packed ambient vector (oracle bit layout)."""
     if k != 2:
         raise UnsupportedK("the Gray map is defined for k=2 coefficients")
-    return gray_map(unpack_ambient(v, n, m, 2))
+    v &= (1 << (4 * m * n)) - 1
+    return _unpack(m, _gray_lanes(v, 2 * n, m), 4 * n)
 
 
 def lee_weight(a: int, b: int) -> int:
@@ -204,56 +203,47 @@ def lee_distribution(code: CyclicCode) -> dict[int, int]:
 # generator matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GenMatrix:
-    """A matrix over F_{2^m} with 4n columns, rows as symbol tuples.
+    """A matrix over F_{2^m} with 4n columns, rows stored lane-packed.
 
-    ``packed`` is the lane-packed view of the rows, computed once; rank and
-    the structure checks work on it.
+    ``packed`` holds one int per row, symbol i at bits [m*i, m*i + m); rank
+    and the structure checks work on it, and ``rows`` unpacks it into symbol
+    tuples on every read.  ``GenMatrix(ctx, n, rows)`` packs rows of
+    symbols, each of which must lie in range(2^m); ``packed=`` takes rows
+    already packed, unchecked.
     """
 
     ctx: FieldCtx = field(compare=False)
-    n: int = 0
-    rows: tuple[tuple[int, ...], ...] = ()
+    n: int
+    packed: tuple[int, ...]
 
-    def __post_init__(self):
-        for r in self.rows:
-            if len(r) != self.cols:
-                raise ValueError(f"row width {len(r)} != {self.cols}")
+    def __init__(self, ctx: FieldCtx, n: int = 0, rows=(), packed=None):
+        if packed is None:
+            for i, r in enumerate(rows):
+                if len(r) != 4 * n:
+                    raise ValueError(f"row {i}: width {len(r)} != {4 * n}")
+                for c, x in enumerate(r):
+                    if not 0 <= x < ctx.order:
+                        raise ValueError(f"row {i}, column {c}: symbol {x!r}"
+                                         f" is not in range({ctx.order})")
+            packed = tuple(poly_key(ctx, tuple(r)) for r in rows)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "packed", packed)
 
     @property
     def cols(self) -> int:
         return 4 * self.n
 
-    @cached_property
-    def packed(self) -> tuple[int, ...]:
-        """The rows lane-packed: symbol i at bits [m*i, m*i + m)."""
-        m = self.ctx.m
-        return tuple(_pack(m, r) for r in self.rows)
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as symbol tuples, unpacked from ``packed``."""
+        return tuple(_unpack(self.ctx.m, v, self.cols) for v in self.packed)
 
     def rank(self) -> int:
         low = _lane_low(self.ctx.m, self.cols)
         return len(_echelon(self.ctx, self.packed, low))
-
-
-def circulant(a: Poly, s: int, n2: int) -> tuple[tuple[int, ...], ...]:
-    """s x n2 block [a]_s: row i is the coefficient vector of x^i a mod x^n2-1."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if len(a) > n2:
-        raise ValueError("reduce a mod x^n2 - 1 first")
-    row = tuple(a) + (0,) * (n2 - len(a))
-    out = [row]
-    for _ in range(s - 1):
-        row = (row[-1],) + row[:-1]
-        out.append(row)
-    return tuple(out)
-
-
-def _hblock(left: Poly, right: Poly, s: int, n2: int):
-    """s rows of the 2-block [left | right], each half a circulant."""
-    return [lr + rr for lr, rr in zip(circulant(left, s, n2),
-                                      circulant(right, s, n2))]
 
 
 # Blocks of the image of a component pair, keyed by the shapes (C_j, C_mate):
@@ -277,6 +267,32 @@ _PAIR_BLOCKS = {
 }
 
 
+def _block(fd: FactorData, left: str, right: str, j: int,
+           w: Poly | None) -> tuple[int, ...]:
+    """The d_j lane-packed rows [x^i left | x^i right] of a block at
+    component j, derived once per FactorData (a W block once per unit w):
+    row 0 is the two seeds side by side, each next row rotates both halves
+    by one lane, moving the last lane of each half to its first."""
+    def seed(name: str) -> int:
+        if name == "0":
+            return 0
+        poly = fd.idempotents[j] if name == "E" else fd.f_eps(j)
+        if name == "W":                # (1 + f w) eps = eps + (f eps) w
+            poly = poly_add(fd.idempotents[j],
+                            poly_mulmod(fd.ctx, poly, w, fd.modulus_2n()))
+        return poly_key(fd.ctx, poly)
+
+    def derive():
+        m, hw = fd.m, 2 * fd.n * fd.m          # bits per half
+        last = (((1 << m) - 1) << (hw - m)) * (1 + (1 << hw))
+        rows = [seed(left) | seed(right) << hw]
+        for _ in range(fd.degree(j) - 1):
+            top = rows[-1] & last
+            rows.append((rows[-1] ^ top) << m | top >> (hw - m))
+        return tuple(rows)
+    return fd._once("gray_block", (left, right, j, w), derive)
+
+
 def generator_matrix(code: CyclicCode) -> GenMatrix:
     """The block generator matrix of the Gray image of a self-dual code.
 
@@ -289,22 +305,7 @@ def generator_matrix(code: CyclicCode) -> GenMatrix:
         raise NotSelfDual("the block table assumes a self-dual code; "
                           "use gray_image_matrix for arbitrary codes")
     fd = code.fd
-    ctx = fd.ctx
-    n2 = 2 * fd.n
-
-    def poly(name: str, j: int) -> Poly:
-        if name == "0":
-            return P_ZERO
-        if name == "E":
-            return fd.idempotents[j]
-        if name == "F":
-            return fd.f_eps(j)
-        # W = (1 + f w) eps = eps + (f eps) w
-        w = code.components[j].omega[0]
-        return poly_add(fd.idempotents[j],
-                        poly_mulmod(ctx, fd.f_eps(j), w, fd.modulus_2n()))
-
-    rows: list[tuple[int, ...]] = []
+    rows: list[int] = []
     for j in fd.component_indices():
         jm = fd.mate(j)
         shapes = (shape_k2(code.components[j]), shape_k2(code.components[jm]))
@@ -313,29 +314,28 @@ def generator_matrix(code: CyclicCode) -> GenMatrix:
             raise NotSelfDual(f"pair shapes {shapes} have no self-dual block")
         if jm == j:
             blocks = [b for b in blocks if b[2] == 0]
-        d = fd.degree(j)
         for left, right, side in blocks:
             at = (j, jm)[side]
-            rows += _hblock(poly(left, at), poly(right, at), d, n2)
-    gm = GenMatrix(ctx, fd.n, tuple(rows))
-    assert len(rows) == n2
-    return gm
+            w = code.components[at].omega[0] if right == "W" else None
+            rows += _block(fd, left, right, at, w)
+    assert len(rows) == 2 * fd.n
+    return GenMatrix(fd.ctx, fd.n, packed=tuple(rows))
 
 
 def gray_image_matrix(code: CyclicCode) -> GenMatrix:
     """Generator matrix of the Gray image of ANY cyclic code (k=2).
 
-    Generic route: span the code as an F_2 space with the oracle, apply the
-    Gray map to each basis vector, and row-reduce over F_{2^m}.
+    Generic route: span the code as an F_2 space with the oracle, Gray-map
+    each basis vector to a lane-packed row, and row-reduce over F_{2^m}.
     """
     if code.k != 2:
         raise UnsupportedK("the Gray map is defined for k=2")
     fd = code.fd
     dc = span_code(fd.n, fd.m, 2, to_ambient_generators(code),
                    modulus=fd.ctx.modulus)
-    img = [gray_map_packed(v, fd.n, fd.m) for v in dc.basis]
-    rows, _ = rref_fq(fd.ctx, img) if img else ([], [])
-    return GenMatrix(fd.ctx, fd.n, tuple(rows))
+    rows, _ = _rref(fd.ctx, [_gray_lanes(v, 2 * fd.n, fd.m) for v in dc.basis],
+                    4 * fd.n)
+    return GenMatrix(fd.ctx, fd.n, packed=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

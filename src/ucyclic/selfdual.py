@@ -189,7 +189,14 @@ def mate_label(fd: FactorData, j: int, label: IdealLabel, k: int) -> IdealLabel:
 
 def _mate_label(fd: FactorData, j: int, label: IdealLabel,
                 k: int) -> IdealLabel:
-    """:func:`mate_label` for a label already known to be canonical."""
+    """:func:`mate_label` for a label already known to be canonical, derived
+    once per FactorData."""
+    return fd._once("mate_label", (j, label, k),
+                    lambda: _derive_mate_label(fd, j, label, k))
+
+
+def _derive_mate_label(fd: FactorData, j: int, label: IdealLabel,
+                       k: int) -> IdealLabel:
     kind, i, t, s, w = label.kind, label.i, label.t, label.s, label.omega
     wp = qt.omega_prime(fd, j, w) if w is not None else None
     if kind == "u_pow":
@@ -386,19 +393,20 @@ def to_ambient_generators(code: CyclicCode) -> list[int]:
 
     Each component generator g (an element of K_j[u]/(u^k)) is lifted to
     sum_l u^l * (idempotent_j * g_l) mod x^(2n)-1 and packed with the oracle
-    bit layout ((coord*k + slot)*m + bit).
+    bit layout ((coord*k + slot)*m + bit); the lift of each (component,
+    label) is derived once per FactorData.
     """
-    fd, k, m = code.fd, code.k, code.m
-    mod = fd.modulus_2n()
-    gens = []
-    for j, label in enumerate(code.components):
-        eps = fd.idempotents[j]
-        for g in ideal_generators(fd, j, k, label):
-            packed = 0
-            for l, coeff in enumerate(g):
-                prod = poly_mulmod(fd.ctx, eps, coeff, mod)
-                for c, val in enumerate(prod):
-                    if val:
-                        packed |= val << ((c * k + l) * m)
-            gens.append(packed)
-    return gens
+    fd, k = code.fd, code.k
+    return [g for j, label in enumerate(code.components)
+            for g in fd._once("ambient", (j, label, k),
+                              lambda: _lift_generators(fd, j, label, k))]
+
+
+def _lift_generators(fd: FactorData, j: int, label: IdealLabel,
+                     k: int) -> tuple[int, ...]:
+    """The packed lifts of the generators of ``label`` at component j."""
+    m, mod, eps = fd.m, fd.modulus_2n(), fd.idempotents[j]
+    return tuple(sum(val << ((c * k + l) * m) for l, coeff in enumerate(g)
+                     for c, val in enumerate(
+                         poly_mulmod(fd.ctx, eps, coeff, mod)))
+                 for g in ideal_generators(fd, j, k, label))

@@ -9,7 +9,12 @@ routes the tests hold it to:
   ``enumerate_selfdual``;
 * ``count_ideals_closed`` is the closed rational form of ``count_ideals``,
   and ``count_ideals_by_shape`` counts the ideals shape by shape
-  (``omega1``, ``omega2`` and ``gamma``).
+  (``omega1``, ``omega2`` and ``gamma``);
+* ``generator_matrix_rows`` assembles the block generator matrix of a
+  self-dual code's Gray image as symbol tuples, each block a pair of
+  ``circulant`` matrices of its polynomials, where ``gray.generator_matrix``
+  rotates lane-packed rows; ``gray_map`` maps (a_i, b_i) symbol pairs to
+  their Gray image, where the package maps a packed vector lane by lane.
 """
 from __future__ import annotations
 
@@ -17,10 +22,12 @@ import itertools
 
 from ucyclic import quotient as qt
 from ucyclic.cyclotomic import FactorData, factor_xn_minus_1
+from ucyclic.duality import shape_k2
 from ucyclic.errors import UnsupportedK
-from ucyclic.gf import P_ZERO
+from ucyclic.gf import P_ZERO, Poly, poly_add, poly_mulmod
+from ucyclic.gray import _PAIR_BLOCKS
 from ucyclic.ideals import IdealLabel
-from ucyclic.selfdual import _build_code, theta_set
+from ucyclic.selfdual import CyclicCode, _build_code, theta_set
 
 _lab = IdealLabel
 
@@ -266,3 +273,74 @@ def selfdual_k345_list(n: int, m: int, k: int,
     if fd is None:
         fd = factor_xn_minus_1(n, m, modulus)
     return _list_from_tables(fd, k)
+
+
+# ---------------------------------------------------------------------------
+# the Gray map and Gray-image generator matrices on symbol tuples
+# ---------------------------------------------------------------------------
+
+def gray_map(xi) -> tuple[int, ...]:
+    """Map an R-vector, given as (a_i, b_i) pairs, to (b | a+b) over F_{2^m}."""
+    pairs = list(xi)
+    for p in pairs:
+        if len(p) != 2:
+            raise UnsupportedK("the Gray map is defined for k=2 coefficients")
+    return (tuple(b for _, b in pairs)
+            + tuple(a ^ b for a, b in pairs))
+
+
+def circulant(a: Poly, s: int, n2: int) -> tuple[tuple[int, ...], ...]:
+    """s x n2 block [a]_s: row i is the coefficient vector of x^i a mod x^n2-1."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    if len(a) > n2:
+        raise ValueError("reduce a mod x^n2 - 1 first")
+    row = tuple(a) + (0,) * (n2 - len(a))
+    out = [row]
+    for _ in range(s - 1):
+        row = (row[-1],) + row[:-1]
+        out.append(row)
+    return tuple(out)
+
+
+def _hblock(left: Poly, right: Poly, s: int, n2: int):
+    """s rows of the 2-block [left | right], each half a circulant."""
+    return [lr + rr for lr, rr in zip(circulant(left, s, n2),
+                                      circulant(right, s, n2))]
+
+
+def generator_matrix_rows(code: CyclicCode,
+                          w_polys: dict | None = None) -> list[tuple[int, ...]]:
+    """The rows of ``gray.generator_matrix(code)`` as symbol tuples, built
+    from circulants of E = eps_j, F = f_j eps_j and W = (1 + f_j w) eps_j by
+    the same block table; ``code`` must be self-dual with k = 2.  A caller
+    walking many codes of one FactorData may pass a dict ``w_polys`` to keep
+    the W polynomials in, keyed by (j, w)."""
+    fd = code.fd
+    n2 = 2 * fd.n
+    w_polys = {} if w_polys is None else w_polys
+
+    def poly(name: str, j: int) -> Poly:
+        if name == "0":
+            return P_ZERO
+        if name == "E":
+            return fd.idempotents[j]
+        if name == "F":
+            return fd.f_eps(j)
+        w = code.components[j].omega[0]
+        if (j, w) not in w_polys:
+            w_polys[j, w] = poly_add(fd.idempotents[j], poly_mulmod(
+                fd.ctx, fd.f_eps(j), w, fd.modulus_2n()))
+        return w_polys[j, w]
+
+    rows = []
+    for j in fd.component_indices():
+        jm = fd.mate(j)
+        blocks = _PAIR_BLOCKS[(shape_k2(code.components[j]),
+                               shape_k2(code.components[jm]))]
+        for left, right, side in blocks:
+            if side == 0 or jm != j:
+                at = (j, jm)[side]
+                rows += _hblock(poly(left, at), poly(right, at),
+                                fd.degree(j), n2)
+    return rows

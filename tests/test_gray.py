@@ -2,23 +2,24 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
+from literal_oracles import circulant, generator_matrix_rows, gray_map
 from ucyclic import duality as du
 from ucyclic.errors import (DimensionTooLarge, MinDistOfTrivial, NotSelfDual,
                             UnsupportedK)
 from ucyclic.gf import FieldCtx, P_ONE, f2x_is_irreducible
-from ucyclic.gray import (GenMatrix, circulant, generator_matrix,
-                          gray_image_matrix, gray_map, gray_map_packed,
-                          gram_is_zero, is_2_quasi_cyclic, lee_distribution,
-                          lee_weight, min_distance, rref_fq,
-                          weight_distribution)
+from ucyclic.gray import (GenMatrix, generator_matrix, gray_image_matrix,
+                          gray_map_packed, gram_is_zero, is_2_quasi_cyclic,
+                          lee_distribution, lee_weight, min_distance, rref_fq,
+                          unpack_ambient, weight_distribution)
 from ucyclic.ideals import IdealLabel
 from ucyclic.oracle import span_code
 from ucyclic.selfdual import (CyclicCode, enumerate_cyclic,
                               enumerate_selfdual, family_60_30_8,
-                              to_ambient_generators)
+                              is_self_dual, to_ambient_generators)
 
 
 def test_gray_map_basics():
@@ -28,6 +29,18 @@ def test_gray_map_basics():
     assert gray_map([(0, 0)] * 3) == (0,) * 6
     with pytest.raises(UnsupportedK):
         gray_map([(1, 0, 0)])
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (3, 3), (5, 1), (2, 6)])
+def test_gray_map_packed_equals_tuple_route(n, m):
+    rng = random.Random(n * m)
+    width = 4 * n * m
+    for v in [0, (1 << width) - 1] + [rng.getrandbits(width)
+                                       for _ in range(200)]:
+        want = gray_map(unpack_ambient(v, n, m, 2))
+        assert gray_map_packed(v, n, m) == want
+        # bits above the vector are not part of it
+        assert gray_map_packed(v | 1 << (width + 3), n, m) == want
 
 
 def test_gray_map_linear_injective():
@@ -63,6 +76,63 @@ def test_circulant():
     assert rows[1] == (0, 1, 1, 0, 0) and rows[2] == (0, 0, 1, 1, 0)
     with pytest.raises(ValueError):
         circulant(a, 0, 5)
+
+
+def _packed(m, rows):
+    return tuple(sum(x << (m * i) for i, x in enumerate(r)) for r in rows)
+
+
+@pytest.mark.parametrize("n, m, modulus", [(15, 1, None), (9, 2, None),
+                                           (5, 3, None), (7, 3, 0xd)])
+def test_generator_matrix_equals_circulant_oracle(fdata, n, m, modulus):
+    # the lane rotation against the circulants of the block polynomials, on
+    # every self-dual code
+    fd = fdata(n, m, modulus)
+    w_polys = {}
+    for code in enumerate_selfdual(n, m, 2, fd):
+        assert generator_matrix(code).packed == \
+            _packed(m, generator_matrix_rows(code, w_polys))
+
+
+@pytest.mark.parametrize("n, m", [(9, 1), (3, 2)])
+def test_gray_image_matrix_equals_tuple_route(fdata, n, m):
+    # Gray map of the oracle basis as symbol tuples, then rref_fq
+    fd = fdata(n, m)
+    pool = [c for c in enumerate_cyclic(n, m, 2, fd) if not is_self_dual(c)]
+    for code in random.Random(20 + m).sample(pool, 100):
+        dc = span_code(n, m, 2, to_ambient_generators(code), fd.ctx.modulus)
+        img = [gray_map(unpack_ambient(v, n, m, 2)) for v in dc.basis]
+        want = rref_fq(fd.ctx, img)[0] if img else []
+        assert gray_image_matrix(code).rows == tuple(want)
+
+
+def test_generator_matrix_reuses_blocks(fdata, monkeypatch):
+    # a second generator_matrix on a warm FactorData multiplies nothing
+    fd = fdata(7, 3, 0xd)
+    codes = list(enumerate_selfdual(7, 3, 2, fd))[::500]
+    first = [generator_matrix(code).packed for code in codes]
+    calls = []
+    for mod in list(sys.modules.values()):
+        real = getattr(mod, "poly_mulmod", None)
+        if real is not None and mod.__name__.startswith("ucyclic"):
+            def counting(*args, _real=real):
+                calls.append(args)
+                return _real(*args)
+            monkeypatch.setattr(mod, "poly_mulmod", counting)
+    assert [generator_matrix(code).packed for code in codes] == first
+    assert calls == []
+
+
+def test_genmatrix_rejects_symbols_outside_the_field():
+    for m in (1, 6):
+        ctx, q = FieldCtx(m), 1 << m
+        ok = GenMatrix(ctx, 1, ((q - 1, 0, 0, 1),))
+        assert ok.rows == ((q - 1, 0, 0, 1),) and ok.rank() == 1
+        for bad in (q, -1, 3 * q):
+            with pytest.raises(ValueError, match=r"row 1, column 2"):
+                GenMatrix(ctx, 1, ((0, 1, 0, 0), (0, 0, bad, 0)))
+    with pytest.raises(ValueError, match=r"row 0: width 3 != 4"):
+        GenMatrix(FieldCtx(1), 1, ((0, 1, 0),))
 
 
 def _phi_census(code):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -9,13 +10,15 @@ from literal_oracles import selfdual_k2_list, selfdual_k345_list
 from ucyclic import duality as du
 from ucyclic import quotient as qt
 from ucyclic.errors import BadDescriptor, UnsupportedK
-from ucyclic.gf import poly_key
+from ucyclic.gf import P_ZERO, poly_key, poly_mulmod
+from ucyclic.ideals import ideal_generators
 from ucyclic.ideals import IdealLabel, enumerate_ideals, validate_label
 from ucyclic.oracle import brute_is_selfdual, span_code
-from ucyclic.selfdual import (CyclicCode, count_cyclic, count_selfdual,
-                              enumerate_cyclic, enumerate_selfdual,
-                              family_60_30_8, is_self_dual, mate_label,
-                              theta_set, to_ambient_generators)
+from ucyclic.selfdual import (CyclicCode, _derive_mate_label, _mate_label,
+                              count_cyclic, count_selfdual, enumerate_cyclic,
+                              enumerate_selfdual, family_60_30_8,
+                              is_self_dual, mate_label, theta_set,
+                              to_ambient_generators)
 
 
 def _polyset(ctx, ts):
@@ -89,6 +92,63 @@ def test_mate_label_k2_shapes(fdata):
                 IdealLabel("mixed_one", i=1, t=0, omega=(1, 1))):
         with pytest.raises(ValueError):
             mate_label(fd, 0, bad, 2)
+
+
+@pytest.mark.parametrize("n, m, k, modulus", [(15, 1, 2, None),
+                                              (5, 2, 3, None), (7, 3, 2, 0xd)])
+def test_mate_label_memo_matches_derivation(fdata, n, m, k, modulus):
+    fd = fdata(n, m, modulus)
+    for _ in range(2):                      # cold, then from the memo
+        for j in range(fd.r):
+            for lab in enumerate_ideals(fd, j, k):
+                mate = _mate_label(fd, j, lab, k)
+                assert mate == _derive_mate_label(fd, j, lab, k)
+                assert _mate_label(fd, fd.mate(j), mate, k) == lab
+
+
+def test_mate_label_validates_on_a_warm_memo(fdata):
+    # the memo holds mates of labels that are not canonical, which only the
+    # core computes; the public function still refuses them
+    fd = fdata(15, 1)
+    for lab in enumerate_ideals(fd, 1, 2):
+        mate_label(fd, 1, lab, 2)
+    for bad, why in ((IdealLabel("u_pow", i=3), "out-of-range"),
+                     (IdealLabel("u_f", s=2), "out-of-range"),
+                     (IdealLabel("mixed_one", i=1, t=0, omega=(P_ZERO,)),
+                      "nonzero constant term")):
+        _mate_label(fd, 1, bad, 2)
+        with pytest.raises(ValueError, match=why):
+            mate_label(fd, 1, bad, 2)
+
+
+def _fresh_ambient(code):
+    """Each component generator times its idempotent, packed, with nothing
+    kept between calls."""
+    fd, k, m = code.fd, code.k, code.m
+    out = []
+    for j, label in enumerate(code.components):
+        for g in ideal_generators(fd, j, k, label):
+            v = 0
+            for l, coeff in enumerate(g):
+                prod = poly_mulmod(fd.ctx, fd.idempotents[j], coeff,
+                                   fd.modulus_2n())
+                v |= sum(val << ((c * k + l) * m)
+                         for c, val in enumerate(prod))
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("n, m, modulus", [(9, 1, None), (3, 2, None),
+                                           (7, 3, 0xd)])
+def test_ambient_generators_memo_matches_derivation(fdata, n, m, modulus):
+    fd = fdata(n, m, modulus)
+    lists = [list(enumerate_ideals(fd, j, 2)) for j in range(fd.r)]
+    rng = random.Random(n + 10 * m)
+    for _ in range(200):
+        code = CyclicCode(fd, 2, tuple(map(rng.choice, lists)))
+        want = _fresh_ambient(code)
+        assert to_ambient_generators(code) == want
+        assert to_ambient_generators(code) == want
 
 
 def test_is_self_dual_positive_and_negative(fdata):
