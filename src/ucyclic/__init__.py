@@ -25,7 +25,7 @@ from .errors import (BadDescriptor, DimensionTooLarge, MinDistOfTrivial,
                      NotSelfDual, TooLarge, UcyclicError, UnsupportedK)
 from .gf import FieldCtx, default_modulus
 from .gray import (GenMatrix, generator_matrix, gray_image_matrix,
-                   gray_map_packed, gram_is_zero, is_2_quasi_cyclic,
+                   gray_map, gray_map_packed, gram_is_zero, is_2_quasi_cyclic,
                    lee_distribution, lee_weight, min_distance,
                    weight_distribution)
 from .ideals import IdealLabel, count_ideals, enumerate_ideals, ideal_size_log2
@@ -44,9 +44,9 @@ __all__ = [
     "cyclotomic_cosets", "default_modulus", "dual_code", "enumerate_cyclic",
     "enumerate_ideals", "enumerate_selfdual", "enumerate_selforthogonal",
     "factor_xn_minus_1", "family_60_30_8", "generator_matrix", "gram_is_zero",
-    "gray_image_matrix", "gray_map_packed", "hull", "hull_dimension",
-    "ideal_size_log2",
-    "is_2_quasi_cyclic", "is_self_dual", "is_self_orthogonal",
-    "lee_distribution", "lee_weight", "mate_label", "min_distance",
-    "theta_set", "to_ambient_generators", "weight_distribution",
+    "gray_image_matrix", "gray_map", "gray_map_packed", "hull",
+    "hull_dimension", "ideal_size_log2", "is_2_quasi_cyclic", "is_self_dual",
+    "is_self_orthogonal", "lee_distribution", "lee_weight", "mate_label",
+    "min_distance", "theta_set", "to_ambient_generators",
+    "weight_distribution",
 ]

@@ -415,8 +415,8 @@ def _gray_ok(code: sd.CyclicCode) -> bool:
     gm = gr.generator_matrix(code)
     return (gm.rank() == 2 * code.n and gr.gram_is_zero(gm)
             and gr.is_2_quasi_cyclic(gm)
-            and tuple(gr.rref_fq(gm.ctx, gm.rows)[0])
-            == tuple(gr.gray_image_matrix(code).rows))
+            and tuple(gr._rref(gm.ctx, gm.packed, gm.cols)[0])
+            == gr.gray_image_matrix(code).packed)
 
 
 def _checks(fd: FactorData, k: int) -> list[tuple]:

@@ -381,16 +381,9 @@ def reciprocal(a: Poly) -> Poly:
     return poly_trim(reversed(a))
 
 
-_DIGITS = bytes.maketrans(bytes(range(32)), b"0123456789abcdefghijklmnopqrstuv")
-
-
 def poly_key(ctx: FieldCtx, a) -> int:
     """Canonical integer key: sum of c_i * 2^(m*i), for any sequence of
     field elements (also the lane-packed form of a row of symbols)."""
-    if ctx.m <= 5 and len(a) > 4:
-        # one base-2^m digit per coefficient, last one first; the shift loop
-        # below is faster on four coefficients or fewer
-        return int(bytes(a[::-1]).translate(_DIGITS), ctx.order)
     key = 0
     for i, c in enumerate(a):
         key |= c << (ctx.m * i)

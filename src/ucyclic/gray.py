@@ -36,7 +36,7 @@ from .oracle import span_code
 from .selfdual import CyclicCode, is_self_dual, to_ambient_generators
 
 __all__ = [
-    "GenMatrix", "gray_map_packed", "unpack_ambient",
+    "GenMatrix", "gray_map", "gray_map_packed", "unpack_ambient",
     "generator_matrix", "gray_image_matrix", "weight_distribution",
     "min_distance", "is_2_quasi_cyclic", "gram_is_zero", "lee_weight",
     "lee_weight_vector", "lee_distribution", "rref_fq",
@@ -135,12 +135,9 @@ def _rref(ctx: FieldCtx, packed, ncols: int):
 
 def rref_fq(ctx: FieldCtx, rows) -> tuple[list[tuple[int, ...]], list[int]]:
     """Reduced row echelon form over F_{2^m}; leftmost-pivot convention."""
-    rows = list(rows)
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    reduced, pivots = _rref(ctx, [poly_key(ctx, tuple(r)) for r in rows],
-                            ncols)
+    rows = [tuple(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    reduced, pivots = _rref(ctx, [poly_key(ctx, r) for r in rows], ncols)
     return [_unpack(ctx.m, v, ncols) for v in reduced], pivots
 
 
@@ -174,6 +171,20 @@ def gray_map_packed(v: int, n: int, m: int, k: int = 2) -> tuple[int, ...]:
         raise UnsupportedK("the Gray map is defined for k=2 coefficients")
     v &= (1 << (4 * m * n)) - 1
     return _unpack(m, _gray_lanes(v, 2 * n, m), 4 * n)
+
+
+def gray_map(xi) -> tuple[int, ...]:
+    """Gray image (b | a+b) of an R-vector given as (a_i, b_i) pairs of
+    non-negative symbols, through the lane-packed map."""
+    pairs = [tuple(p) for p in xi]
+    if any(len(p) != 2 for p in pairs):
+        raise UnsupportedK("the Gray map is defined for k=2 coefficients")
+    syms = [x for p in pairs for x in p]
+    if min(syms, default=0) < 0:
+        raise ValueError("symbols must be non-negative")
+    m = max((x.bit_length() for x in syms), default=0) or 1
+    v = sum(x << (m * i) for i, x in enumerate(syms))
+    return _unpack(m, _gray_lanes(v, len(pairs), m), len(syms)) if syms else ()
 
 
 def lee_weight(a: int, b: int) -> int:

@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import quotient as qt
-from .gf import P_ONE, P_ZERO, poly_add, poly_degree
+from .gf import (P_ONE, P_ZERO, poly_add, poly_degree, poly_from_key,
+                 poly_key)
 from .errors import TooLarge
 from .oracle import map_closure, span_words
 
@@ -216,16 +217,11 @@ def ideal_generators(fd, j: int, k: int, label: IdealLabel) -> list[qt.UElem]:
 
 def pack_uelem(fd, j: int, k: int, elem: qt.UElem) -> int:
     """Bit-pack a K[u]/(u^k) element (K-coefficients of degree < 2d)."""
-    from .gf import poly_key
     bits = 2 * fd.degree(j) * fd.m
-    out = 0
-    for l, c in enumerate(elem):
-        out |= poly_key(fd.ctx, c) << (l * bits)
-    return out
+    return sum(poly_key(fd.ctx, c) << (l * bits) for l, c in enumerate(elem))
 
 
 def unpack_uelem(fd, j: int, k: int, packed: int) -> qt.UElem:
-    from .gf import poly_from_key
     bits = 2 * fd.degree(j) * fd.m
     mask = (1 << bits) - 1
     return tuple(poly_from_key(fd.ctx, (packed >> (l * bits)) & mask)

@@ -309,29 +309,26 @@ def _hblock(left: Poly, right: Poly, s: int, n2: int):
                                       circulant(right, s, n2))]
 
 
-def generator_matrix_rows(code: CyclicCode,
-                          w_polys: dict | None = None) -> list[tuple[int, ...]]:
+def generator_matrix_rows(code: CyclicCode) -> list[tuple[int, ...]]:
     """The rows of ``gray.generator_matrix(code)`` as symbol tuples, built
     from circulants of E = eps_j, F = f_j eps_j and W = (1 + f_j w) eps_j by
-    the same block table; ``code`` must be self-dual with k = 2.  A caller
-    walking many codes of one FactorData may pass a dict ``w_polys`` to keep
-    the W polynomials in, keyed by (j, w)."""
+    the same block table; ``code`` must be self-dual with k = 2.  Every
+    polynomial is computed afresh on each call."""
     fd = code.fd
     n2 = 2 * fd.n
-    w_polys = {} if w_polys is None else w_polys
 
     def poly(name: str, j: int) -> Poly:
         if name == "0":
             return P_ZERO
         if name == "E":
             return fd.idempotents[j]
+        f_eps = poly_mulmod(fd.ctx, fd.factors[j], fd.idempotents[j],
+                            fd.modulus_2n())
         if name == "F":
-            return fd.f_eps(j)
+            return f_eps
         w = code.components[j].omega[0]
-        if (j, w) not in w_polys:
-            w_polys[j, w] = poly_add(fd.idempotents[j], poly_mulmod(
-                fd.ctx, fd.f_eps(j), w, fd.modulus_2n()))
-        return w_polys[j, w]
+        return poly_add(fd.idempotents[j], poly_mulmod(
+            fd.ctx, f_eps, w, fd.modulus_2n()))
 
     rows = []
     for j in fd.component_indices():

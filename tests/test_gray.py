@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import ucyclic
 from literal_oracles import circulant, generator_matrix_rows, gray_map
 from ucyclic import duality as du
 from ucyclic.errors import (DimensionTooLarge, MinDistOfTrivial, NotSelfDual,
@@ -29,6 +30,22 @@ def test_gray_map_basics():
     assert gray_map([(0, 0)] * 3) == (0,) * 6
     with pytest.raises(UnsupportedK):
         gray_map([(1, 0, 0)])
+
+
+def test_public_gray_map_equals_tuple_route():
+    # the public pair-form map goes through the lane-packed route
+    rng = random.Random(7)
+    for m in (1, 2, 5, 8):
+        for npairs in (0, 1, 3, 8):
+            xi = [(rng.randrange(1 << m), rng.randrange(1 << m))
+                  for _ in range(npairs)]
+            assert ucyclic.gray_map(xi) == gray_map(xi)
+            assert ucyclic.gray_map(iter(xi)) == gray_map(xi)
+    assert ucyclic.gray_map([(0, 0)] * 3) == (0,) * 6
+    with pytest.raises(UnsupportedK):
+        ucyclic.gray_map([(1, 0, 0)])
+    with pytest.raises(ValueError):
+        ucyclic.gray_map([(1, -1)])
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (3, 3), (5, 1), (2, 6)])
@@ -88,10 +105,9 @@ def test_generator_matrix_equals_circulant_oracle(fdata, n, m, modulus):
     # the lane rotation against the circulants of the block polynomials, on
     # every self-dual code
     fd = fdata(n, m, modulus)
-    w_polys = {}
     for code in enumerate_selfdual(n, m, 2, fd):
         assert generator_matrix(code).packed == \
-            _packed(m, generator_matrix_rows(code, w_polys))
+            _packed(m, generator_matrix_rows(code))
 
 
 @pytest.mark.parametrize("n, m", [(9, 1), (3, 2)])
