@@ -232,6 +232,25 @@ def _check_nm(n: int, m: int) -> None:
         raise TooLarge(f"m={m} is above the cap of {MAX_M}")
 
 
+def factor_data(n: int, m: int, fd: FactorData | None = None,
+                modulus: int | None = None) -> FactorData:
+    """The factorisation of x^n - 1 over F_{2^m} (modulus ``modulus``, or the
+    default): ``fd`` when given, else a fresh :func:`factor_xn_minus_1`.
+
+    ValueError when ``fd`` was built for another n or m, or for another
+    modulus than the one named (``modulus=None`` accepts fd's).
+    """
+    if fd is None:
+        return factor_xn_minus_1(n, m, modulus)
+    if (fd.n, fd.m) != (n, m) or (modulus is not None
+                                  and modulus != fd.ctx.modulus):
+        named = "" if modulus is None else f", modulus {modulus:#x}"
+        raise ValueError(
+            f"factor data for n={fd.n}, m={fd.m}, modulus {fd.ctx.modulus:#x}"
+            f" does not match n={n}, m={m}{named}")
+    return fd
+
+
 def factor_degrees(n: int, m: int, fd: FactorData | None = None,
                    modulus: int | None = None):
     """Degrees of the self-reciprocal factors of x^n - 1 over F_{2^m} other
@@ -239,11 +258,12 @@ def factor_degrees(n: int, m: int, fd: FactorData | None = None,
 
     They come from the cosets mod n under 2^m alone, with nothing factored:
     a coset is a factor of its size, and that factor is self-reciprocal iff
-    the coset holds minus its least element.  ``fd``, when given, supplies
-    n, m and the modulus.  The errors are those of :func:`factor_xn_minus_1`.
+    the coset holds minus its least element.  ``fd``, when given, must match
+    (n, m, modulus) (see :func:`factor_data`).  The errors are those of
+    :func:`factor_xn_minus_1`.
     """
     if fd is not None:
-        n, m, modulus = fd.n, fd.m, fd.ctx.modulus
+        modulus = factor_data(n, m, fd, modulus).ctx.modulus
     _check_nm(n, m)
     check_modulus(m, modulus)
     selfrec, pairs = [], []

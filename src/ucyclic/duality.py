@@ -5,13 +5,16 @@ component form a lattice
 
     <0>  <  <uf>  <  {<u>, <f>, <u+fw>}  <  <u,f>  <  <1>
 
-graded by level, the log2 of the ideal's size in units of m*d_j (0 to 4).
-Two ideals on different levels are comparable, and distinct middle ideals
-meet in <uf>.  The dual of a code moves the label a at component j to
-``mate_label(j, a)`` at component mate(j), which sits on level 4 - level(a).
-So for the labels (a, b) of a code at (j, mate(j)) the level sum decides:
-below 4 the code lies inside its dual there, above 4 the dual lies inside
-the code, and at 4 the two agree iff b is a's dual label, else both sides
+In the exponents (a, b) of the ideal (u^a + u^t f w, u^b f)
+(``ideals.exponents``) these are (2, 2), (2, 1), {(1, 1), (2, 0), (1, 1)},
+(1, 0) and (0, 0), and the lattice is graded by level 4 - a - b, the log2 of
+the ideal's size in units of m*d_j (0 to 4).  Two ideals on different levels
+are comparable, and distinct middle ideals meet in <uf>.  The dual of a code
+moves the label at component j to its ``mate_label`` at component mate(j),
+taking (a, b) to (2 - b, 2 - a), so from level l to level 4 - l.  So for the
+two labels of a code at (j, mate(j)) the level sum decides: below 4 the code
+lies inside its dual there, above 4 the dual lies inside the code, and at 4
+the two agree iff the second label is the first one's mate, else both sides
 meet in <uf>.  ``hull``, ``is_self_orthogonal`` and
 ``enumerate_selforthogonal`` all follow from this one rule; a
 self-reciprocal component is the case j == mate(j).  ``UnsupportedK`` is
@@ -24,9 +27,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 
-from .cyclotomic import FactorData, factor_degrees, factor_xn_minus_1
+from .cyclotomic import FactorData, factor_data, factor_degrees
 from .errors import UnsupportedK
-from .ideals import IdealLabel, enumerate_ideals, ideal_size_log2
+from .ideals import IdealLabel, enumerate_ideals, exponents
 from .selfdual import (CyclicCode, _build_code, _mate_label,
                        selfdual_component_labels)
 
@@ -54,7 +57,8 @@ def shape_k2(label: IdealLabel) -> str:
 
 def _level(label: IdealLabel) -> int:
     """Level of a k=2 label in its component lattice: 0 (<0>) to 4 (<1>)."""
-    return ideal_size_log2(label, 1, 1, 2)
+    a, b = exponents(label, 2)
+    return 4 - a - b
 
 
 def _require_k2(code: CyclicCode) -> None:
@@ -153,8 +157,7 @@ def enumerate_selforthogonal(n: int, m: int,
                              fd: FactorData | None = None,
                              modulus: int | None = None):
     """All distinct self-orthogonal cyclic codes of length 2n, k=2."""
-    if fd is None:
-        fd = factor_xn_minus_1(n, m, modulus)
+    fd = factor_data(n, m, fd, modulus)
     return (_build_code(fd, 2, choice)
             for choice in itertools.product(*_selforth_lists(fd)))
 

@@ -1,26 +1,36 @@
 """Ideals of K[u]/(u^k) for K = F_{2^m}[x]/(f^2), f irreducible of degree d.
 
 Every ideal of this local ring falls into exactly one of six shapes, described
-by an :class:`IdealLabel` (q = 2^(m*d) is the residue field size throughout):
+by an :class:`IdealLabel` (q = 2^(m*d) is the residue field size throughout).
+Each label is the ideal (u^a + u^t f w, u^b f) for its :func:`exponents`
+(a, b): a = i, or k when the label has no i; b = s, or else the least
+u-power of f that the first generator already brings in, a with no unit and
+min(a, k - a + t) with one.
 
-==============  ====================================  =======================
-kind            generators                            parameter ranges
-==============  ====================================  =======================
-u_pow           (u^i)                                 0 <= i <= k
-u_f             (u^s f)                               0 <= s <= k-1
-mixed_one       (u^i + u^t f w)                       0 <= t < i <= k-1,
-                w unit of F[u]/(u^(i-t))              t >= 2i-k
-mixed_two       (u^i + u^t f w)                       0 <= t < i <= k-1,
-                w unit of F[u]/(u^(k-i))              t < 2i-k
-two_gen         (u^i, u^s f)                          0 <= s < i <= k-1
-two_gen_omega   (u^i + u^t f w, u^s f)                0 <= t < s < i <= k-1,
-                w unit of F[u]/(u^(s-t))              i + s <= k + t - 1
-==============  ====================================  =======================
+==============  ======================  ==========  ========================
+kind            generators              (a, b)      parameter ranges
+==============  ======================  ==========  ========================
+u_pow           (u^i)                   (i, i)      0 <= i <= k
+u_f             (u^s f)                 (k, s)      0 <= s <= k-1
+mixed_one       (u^i + u^t f w)         (i, i)      0 <= t < i <= k-1,
+                w unit of F[u]/(u^(i-t))            t >= 2i-k
+mixed_two       (u^i + u^t f w)         (i, k-i+t)  0 <= t < i <= k-1,
+                w unit of F[u]/(u^(k-i))            t < 2i-k
+two_gen         (u^i, u^s f)            (i, s)      0 <= s < i <= k-1
+two_gen_omega   (u^i + u^t f w, u^s f)  (i, s)      0 <= t < s < i <= k-1,
+                w unit of F[u]/(u^(s-t))            i + s <= k + t - 1
+==============  ======================  ==========  ========================
 
 Here F = F_{2^m}[x]/(f) is the residue field and units w are u-expansions with
-nonzero constant coefficient.  ``count_ideals`` gives the total from the
-closed-form census; the tests check it against ``enumerate_ideals``, the
-brute-force census and the shape-by-shape counts.
+nonzero constant coefficient.  In (a, b) form every row reads the same way:
+the ideal has q^(2k - a - b) elements, its unit has length b - t, and its
+dual (the annihilator under the reciprocal map, ``selfdual.mate_label``) is
+(u^(k-b) + u^(t+k-a-b) f w', u^(k-a) f), with w' the transported unit
+(``quotient.omega_prime``).  The ranges say that the label is the
+:func:`canonical_label` of its own (a, b, t, w), with 0 <= t < b <= a <= k.
+``count_ideals`` gives the total from the closed-form census; the tests check
+it against ``enumerate_ideals``, the brute-force census and the shape-by-shape
+counts.
 """
 
 from __future__ import annotations
@@ -28,14 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import quotient as qt
-from .gf import (P_ONE, P_ZERO, poly_add, poly_degree, poly_from_key,
-                 poly_key)
-from .errors import TooLarge
-from .oracle import map_closure, span_words
+from .gf import P_ONE, P_ZERO, poly_degree
 
 KINDS = ("u_pow", "u_f", "mixed_one", "mixed_two", "two_gen", "two_gen_omega")
-
-MEMBER_CAP_LOG2 = 24
 
 
 @dataclass(frozen=True)
@@ -46,64 +51,64 @@ class IdealLabel:
     s: int | None = None
     omega: tuple | None = None  # tuple of residue-field polys, u^0 first
 
-    def params(self) -> dict:
-        out = {"kind": self.kind}
-        for name in ("i", "t", "s"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        if self.omega is not None:
-            out["omega"] = self.omega
-        return out
+
+def exponents(label: IdealLabel, k: int) -> tuple[int, int]:
+    """(a, b) with the label's ideal equal to (u^a + u^t f w, u^b f)."""
+    a = k if label.i is None else label.i
+    if label.s is not None:
+        return a, label.s
+    t = label.t
+    if t is None or a + a <= k + t:
+        return a, a
+    return a, k - a + t
+
+
+def _shape(k: int, a: int, b: int, t: int | None):
+    """(kind, i, s) of the canonical label of (u^a + u^t f w, u^b f), for
+    b no larger than the u-power of f the first generator brings in."""
+    if t is None:
+        if b == a:
+            return "u_pow", a, None
+        return ("u_f", None, b) if a == k else ("two_gen", a, b)
+    if b < a and b < k - a + t:
+        return "two_gen_omega", a, b
+    return ("mixed_one" if a <= k - a + t else "mixed_two"), a, None
+
+
+def canonical_label(k: int, a: int, b: int, t: int | None = None,
+                    omega: tuple | None = None) -> IdealLabel:
+    """The label of the ideal (u^a + u^t f w, u^b f) of K[u]/(u^k), w =
+    ``omega`` (no unit term when t is None); needs 0 <= t < b <= a <= k and
+    b at most the u-power of f that u^a + u^t f w brings in."""
+    kind, i, s = _shape(k, a, b, t)
+    return IdealLabel(kind, i=i, t=t, s=s, omega=omega)
 
 
 def omega_truncation(label: IdealLabel, k: int) -> int | None:
     """Length of the unit expansion attached to a label, if any."""
-    if label.kind == "mixed_one":
-        return label.i - label.t
-    if label.kind == "mixed_two":
-        return k - label.i
-    if label.kind == "two_gen_omega":
-        return label.s - label.t
-    return None
+    return None if label.t is None else exponents(label, k)[1] - label.t
 
 
 def validate_label(label: IdealLabel, k: int, d: int | None = None) -> None:
     """Raise ValueError unless the label is canonical for nilpotency index k."""
-    kind, i, t, s = label.kind, label.i, label.t, label.s
-    ok = True
-    if kind == "u_pow":
-        ok = i is not None and 0 <= i <= k and t is None and s is None
-    elif kind == "u_f":
-        ok = s is not None and 0 <= s <= k - 1 and i is None and t is None
-    elif kind == "mixed_one":
-        ok = (i is not None and t is not None and s is None
-              and 0 <= t < i <= k - 1 and t >= 2 * i - k)
-    elif kind == "mixed_two":
-        ok = (i is not None and t is not None and s is None
-              and 0 <= t < i <= k - 1 and t < 2 * i - k)
-    elif kind == "two_gen":
-        ok = (i is not None and s is not None and t is None
-              and 0 <= s < i <= k - 1)
-    elif kind == "two_gen_omega":
-        ok = (i is not None and t is not None and s is not None
-              and 0 <= t < s < i <= k - 1 and i + s <= k + t - 1)
-    else:
+    kind, t = label.kind, label.t
+    if kind not in KINDS:
         raise ValueError(f"unknown ideal kind {kind!r}")
-    if not ok:
+    a, b = exponents(label, k)
+    if not (0 <= b <= a <= k and (t is None or 0 <= t < b)
+            and _shape(k, a, b, t) == (kind, label.i, label.s)):
         raise ValueError(f"out-of-range parameters for {label}")
-    trunc = omega_truncation(label, k)
-    if trunc is None:
-        if label.omega is not None:
+    w = label.omega
+    if t is None:
+        if w is not None:
             raise ValueError(f"{kind} takes no unit parameter")
-    else:
-        w = label.omega
-        if w is None or len(w) != trunc:
-            raise ValueError(f"{kind} needs a unit expansion of length {trunc}")
-        if not w[0]:
-            raise ValueError("unit expansion must have nonzero constant term")
-        if d is not None and any(poly_degree(c) >= d for c in w):
-            raise ValueError("unit coefficients must be reduced mod f")
+        return
+    if w is None or len(w) != b - t:
+        raise ValueError(f"{kind} needs a unit expansion of length {b - t}")
+    if not w[0]:
+        raise ValueError("unit expansion must have nonzero constant term")
+    if d is not None and any(poly_degree(c) >= d for c in w):
+        raise ValueError("unit coefficients must be reduced mod f")
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +130,9 @@ def count_ideals(q: int, k: int) -> int:
 
 
 def ideal_size_log2(label: IdealLabel, m: int, d: int, k: int) -> int:
-    """log2 of the ideal's cardinality."""
-    kind = label.kind
-    if kind in ("u_pow", "mixed_one"):
-        return 2 * m * d * (k - label.i)
-    if kind == "u_f":
-        return m * d * (k - label.s)
-    if kind == "mixed_two":
-        return m * d * (k - label.t)
-    # two_gen, two_gen_omega
-    return m * d * (2 * k - label.i - label.s)
+    """log2 of the ideal's cardinality, q^(2k - a - b)."""
+    a, b = exponents(label, k)
+    return m * d * (2 * k - a - b)
 
 
 # ---------------------------------------------------------------------------
@@ -175,83 +173,27 @@ def enumerate_ideals(fd, j: int, k: int):
 
 
 # ---------------------------------------------------------------------------
-# members
+# generators
 # ---------------------------------------------------------------------------
 
 def ideal_generators(fd, j: int, k: int, label: IdealLabel) -> list[qt.UElem]:
-    """Generators as elements of K[u]/(u^k), each a k-tuple of K-elements."""
+    """Generators as elements of K[u]/(u^k), each a k-tuple of K-elements:
+    u^i + u^t f w when the label has i, then u^s f when it has s."""
     validate_label(label, k, fd.degree(j))
     ring = qt.chain_ring(fd, j)
     f = fd.factors[j]
-    kind = label.kind
-
-    def u_pow_elem(i):
-        out = [P_ZERO] * k
+    i, t, s = label.i, label.t, label.s
+    gens = []
+    if i is not None:
+        g = [P_ZERO] * k
         if i < k:
-            out[i] = P_ONE
-        return tuple(out)
-
-    def usf_elem(s):
-        out = [P_ZERO] * k
-        out[s] = ring.reduce(f)
-        return tuple(out)
-
-    def mixed_elem(i, t, w):
-        out = [P_ZERO] * k
-        out[i] = P_ONE
-        for l, wl in enumerate(w):
+            g[i] = P_ONE
+        for l, wl in enumerate(label.omega or ()):
             if wl:
-                out[t + l] = poly_add(out[t + l], ring.mul(f, wl))
-        return tuple(out)
-
-    if kind == "u_pow":
-        return [u_pow_elem(label.i)]
-    if kind == "u_f":
-        return [usf_elem(label.s)]
-    if kind in ("mixed_one", "mixed_two"):
-        return [mixed_elem(label.i, label.t, label.omega)]
-    if kind == "two_gen":
-        return [u_pow_elem(label.i), usf_elem(label.s)]
-    return [mixed_elem(label.i, label.t, label.omega), usf_elem(label.s)]
-
-
-def pack_uelem(fd, j: int, k: int, elem: qt.UElem) -> int:
-    """Bit-pack a K[u]/(u^k) element (K-coefficients of degree < 2d)."""
-    bits = 2 * fd.degree(j) * fd.m
-    return sum(poly_key(fd.ctx, c) << (l * bits) for l, c in enumerate(elem))
-
-
-def unpack_uelem(fd, j: int, k: int, packed: int) -> qt.UElem:
-    bits = 2 * fd.degree(j) * fd.m
-    mask = (1 << bits) - 1
-    return tuple(poly_from_key(fd.ctx, (packed >> (l * bits)) & mask)
-                 for l in range(k))
-
-
-def _component_monomial_maps(fd, j: int, k: int):
-    """Linear maps (mult by x, by u, by the field generator) on packed bits."""
-    ring = qt.chain_ring(fd, j)
-    nbits = 2 * fd.degree(j) * fd.m * k
-    maps = []
-
-    def tabulate(fn):
-        images = []
-        for b in range(nbits):
-            e = unpack_uelem(fd, j, k, 1 << b)
-            images.append(pack_uelem(fd, j, k, fn(e)))
-        return tuple(images)
-
-    maps.append(tabulate(lambda e: tuple(ring.mul(c, (0, 1)) for c in e)))
-    maps.append(tabulate(lambda e: (P_ZERO,) + e[:-1]))
-    if fd.m > 1:
-        maps.append(tabulate(lambda e: tuple(ring.mul(c, (2,)) for c in e)))
-    return nbits, maps
-
-
-def ideal_members(fd, j: int, k: int, label: IdealLabel) -> frozenset[int]:
-    """All members, bit-packed; guarded by the 2^24 ambient cap."""
-    nbits, maps = _component_monomial_maps(fd, j, k)
-    if nbits > MEMBER_CAP_LOG2:
-        raise TooLarge(f"component ring has 2^{nbits} elements")
-    gens = [pack_uelem(fd, j, k, g) for g in ideal_generators(fd, j, k, label)]
-    return span_words(map_closure(gens, maps))
+                g[t + l] = ring.mul(f, wl)
+        gens.append(tuple(g))
+    if s is not None:
+        g = [P_ZERO] * k
+        g[s] = ring.reduce(f)
+        gens.append(tuple(g))
+    return gens

@@ -2,6 +2,8 @@
 
 Everything here works on bit-packed vectors of R^(2n), R = F_{2^m}[u]/(u^k):
 coordinate c (0-based), u-slot l, field bit b map to packed bit (c*k + l)*m + b.
+The elements of one CRT component K_j[u]/(u^k) are packed the same way,
+2*d_j*m bits per u-slot (:func:`pack_uelem`).
 A cyclic code is handled as its F_2 row space together with closure under the
 monomial maps (multiply by x, by u, and by the field generator when m > 1);
 :class:`DenseCode` keeps the canonical reduced row-echelon basis, so equality
@@ -17,8 +19,10 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import quotient as qt
 from .errors import TooLarge
-from .gf import FieldCtx, f2x_mod
+from .gf import (P_ZERO, FieldCtx, f2x_mod, poly_add, poly_from_key, poly_key,
+                 poly_scale)
 
 AMBIENT_CAP_LOG2 = 24
 WORDS_CAP_LOG2 = 20
@@ -331,9 +335,56 @@ def brute_all_ideals(n: int, m: int, k: int,
             for basis in _all_ideals_generic(nbits, maps, invertible)]
 
 
+# ---------------------------------------------------------------------------
+# one CRT component K_j[u]/(u^k), K_j = F_{2^m}[x]/(f_j^2)
+# ---------------------------------------------------------------------------
+
+def pack_uelem(fd, j: int, k: int, elem: qt.UElem) -> int:
+    """Bit-pack a K[u]/(u^k) element (K-coefficients of degree < 2d)."""
+    bits = 2 * fd.degree(j) * fd.m
+    return sum(poly_key(fd.ctx, c) << (l * bits) for l, c in enumerate(elem))
+
+
+def unpack_uelem(fd, j: int, k: int, packed: int) -> qt.UElem:
+    bits = 2 * fd.degree(j) * fd.m
+    mask = (1 << bits) - 1
+    return tuple(poly_from_key(fd.ctx, (packed >> (l * bits)) & mask)
+                 for l in range(k))
+
+
+def _component_monomial_maps(fd, j: int, k: int):
+    """Linear maps (mult by x, by u, by the field generator) on packed bits."""
+    ring = qt.chain_ring(fd, j)
+    nbits = 2 * fd.degree(j) * fd.m * k
+    maps = []
+
+    def tabulate(fn):
+        images = []
+        for b in range(nbits):
+            e = unpack_uelem(fd, j, k, 1 << b)
+            images.append(pack_uelem(fd, j, k, fn(e)))
+        return tuple(images)
+
+    maps.append(tabulate(lambda e: tuple(ring.mul(c, (0, 1)) for c in e)))
+    maps.append(tabulate(lambda e: (P_ZERO,) + e[:-1]))
+    if fd.m > 1:
+        maps.append(tabulate(lambda e: tuple(ring.mul(c, (2,)) for c in e)))
+    return nbits, maps
+
+
+def ideal_members(fd, j: int, k: int, gens) -> frozenset[int]:
+    """Every member, bit-packed, of the ideal of K_j[u]/(u^k) generated by
+    the elements ``gens`` (e.g. ``ideals.ideal_generators``); guarded by
+    the 2^24 ambient cap."""
+    nbits, maps = _component_monomial_maps(fd, j, k)
+    if nbits > AMBIENT_CAP_LOG2:
+        raise TooLarge(f"component ring has 2^{nbits} elements")
+    return span_words(map_closure([pack_uelem(fd, j, k, g) for g in gens],
+                                  maps))
+
+
 def brute_component_ideals(fd, j: int, k: int) -> list[frozenset[int]]:
     """Every ideal of K[u]/(u^k) for component j, as packed member sets."""
-    from .ideals import _component_monomial_maps
     nbits, maps = _component_monomial_maps(fd, j, k)
     if nbits > AMBIENT_CAP_LOG2:
         raise TooLarge(f"component ring has 2^{nbits} elements")
@@ -353,9 +404,6 @@ def theta_congruence_filter(fd, j: int, s: int):
     walked in counter order, a_0 fastest, and kept iff every slot passed.
     Only meaningful on self-reciprocal components.
     """
-    from . import quotient as qt
-    from .gf import poly_add, poly_from_key, poly_scale
-
     if not 0 <= j < fd.num_selfrec:
         raise ValueError(f"component {j} is not self-reciprocal")
     d = fd.degree(j)

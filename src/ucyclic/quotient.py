@@ -14,8 +14,8 @@ u-coefficient first.
 from __future__ import annotations
 
 from .gf import (FieldCtx, Poly, P_ONE, P_ZERO, poly_add, poly_degree,
-                 poly_from_key, poly_mod, poly_mul, poly_mulmod, poly_powmod,
-                 poly_scale)
+                 poly_ext_gcd, poly_from_key, poly_mod, poly_mul, poly_mulmod,
+                 poly_powmod, poly_scale)
 
 
 class QuotRing:
@@ -31,9 +31,6 @@ class QuotRing:
     def reduce(self, a: Poly) -> Poly:
         return poly_mod(self.ctx, a, self.modulus)
 
-    def add(self, a: Poly, b: Poly) -> Poly:
-        return poly_add(a, b)
-
     def mul(self, a: Poly, b: Poly) -> Poly:
         return poly_mulmod(self.ctx, a, b, self.modulus)
 
@@ -43,7 +40,6 @@ class QuotRing:
         return poly_powmod(self.ctx, a, e, self.modulus)
 
     def inv(self, a: Poly) -> Poly:
-        from .gf import poly_ext_gcd
         g, s, _ = poly_ext_gcd(self.ctx, self.reduce(a), self.modulus)
         if g != P_ONE:
             raise ZeroDivisionError(f"{a} is not a unit")
@@ -112,15 +108,13 @@ def _combine(ctx: FieldCtx, basis, a: Poly) -> Poly:
     return out
 
 
-def hat(fd, j_src: int, a: Poly, j_dst: int | None = None) -> Poly:
-    """a(x^(-1)) reduced mod f_{j_dst} (default: the mate of j_src).
+def hat(fd, j: int, a: Poly) -> Poly:
+    """a(x^(-1)) reduced mod f_{mate(j)}, for ``a`` reduced mod f_j.
 
     For self-reciprocal factors this is an involution of F_{f}; for a pair it
-    carries F_{f_j} onto F_{f_mate}.  ``a`` is reduced mod f_{j_src}.
+    carries F_{f_j} onto F_{f_mate}.
     """
-    if j_dst is None:
-        j_dst = fd.mate(j_src)
-    return _combine(fd.ctx, fd.hat_basis(j_dst), a)
+    return _combine(fd.ctx, fd.hat_basis(fd.mate(j)), a)
 
 
 def omega_prime(fd, j: int, omega: UElem) -> UElem:

@@ -23,12 +23,13 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import quotient as qt
-from .cyclotomic import FactorData, factor_degrees, factor_xn_minus_1
+from .cyclotomic import FactorData, factor_data, factor_degrees
 from .errors import BadDescriptor, UnsupportedK
 from .gf import (P_ONE, P_X, P_ZERO, Poly, find_primitive, poly_key,
                  poly_mulmod)
-from .ideals import (IdealLabel, count_ideals, enumerate_ideals,
-                     ideal_generators, ideal_size_log2, validate_label)
+from .ideals import (IdealLabel, canonical_label, count_ideals,
+                     enumerate_ideals, exponents, ideal_generators,
+                     ideal_size_log2, validate_label)
 
 __all__ = [
     "CyclicCode", "ThetaSet", "theta_set", "mate_label", "is_self_dual",
@@ -105,10 +106,6 @@ class ThetaSet:
     j: int
     s: int
     members: tuple[qt.UElem, ...]
-    _lookup: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_lookup", frozenset(self.members))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -116,18 +113,14 @@ class ThetaSet:
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, w) -> bool:
-        return w in self._lookup
 
-
-def theta_level_one(fd: FactorData, j: int, rho: Poly | None = None) -> tuple[Poly, ...]:
+def theta_level_one(fd: FactorData, j: int) -> tuple[Poly, ...]:
     """The length-1 Theta set of a self-reciprocal component, sorted by key.
 
     For component 0 (factor x-1) that is every nonzero scalar.  Otherwise
     f_j has even degree d and the set is x^(-d/2) times the subgroup of
-    index sqrt(q)+1 in F_j^*, i.e. x^(-d/2) * F_sqrt(q)^*; the primitive
-    element ``rho`` is only a way to walk that subgroup, the set does not
-    depend on the choice.
+    index sqrt(q)+1 in F_j^*, i.e. x^(-d/2) * F_sqrt(q)^*, walked by a
+    power of a primitive element (the set does not depend on which).
     """
     if not 0 <= j < fd.num_selfrec:
         raise ValueError(f"component {j} is not self-reciprocal")
@@ -138,8 +131,7 @@ def theta_level_one(fd: FactorData, j: int, rho: Poly | None = None) -> tuple[Po
     assert d % 2 == 0, "self-reciprocal factor of degree >= 2 has even degree"
     ring = qt.field_ring(fd, j)
     sq = 1 << (d * ctx.m // 2)
-    if rho is None:
-        rho = find_primitive(ctx, fd.factors[j])
+    rho = find_primitive(ctx, fd.factors[j])
     base = ring.pow(P_X, fd.n - d // 2)          # x^(-d/2) since x^n = 1
     step = ring.pow(rho, sq + 1)
     out = []
@@ -151,8 +143,7 @@ def theta_level_one(fd: FactorData, j: int, rho: Poly | None = None) -> tuple[Po
     return tuple(sorted(out, key=lambda p: poly_key(ctx, p)))
 
 
-def theta_set(fd: FactorData, j: int, s: int,
-              rho: Poly | None = None) -> ThetaSet:
+def theta_set(fd: FactorData, j: int, s: int) -> ThetaSet:
     """Theta_{j,s}: the unit parameters of self-dual component ideals.
 
     Component 0: all units of F_{2^m}[u]/(u^s).  Components 1..num_selfrec-1:
@@ -164,7 +155,7 @@ def theta_set(fd: FactorData, j: int, s: int,
     if j == 0:
         members = tuple(qt.u_units(qt.field_ring(fd, 0), s))
     else:
-        lvl1 = theta_level_one(fd, j, rho)
+        lvl1 = theta_level_one(fd, j)
         rest = (P_ZERO,) + lvl1
         members = tuple((a0,) + tail for a0 in lvl1
                         for tail in itertools.product(rest, repeat=s - 1))
@@ -197,29 +188,13 @@ def _mate_label(fd: FactorData, j: int, label: IdealLabel,
 
 def _derive_mate_label(fd: FactorData, j: int, label: IdealLabel,
                        k: int) -> IdealLabel:
-    kind, i, t, s, w = label.kind, label.i, label.t, label.s, label.omega
-    wp = qt.omega_prime(fd, j, w) if w is not None else None
-    if kind == "u_pow":
-        return IdealLabel("u_pow", i=k - i)
-    if kind == "u_f":
-        if s == 0:
-            return IdealLabel("u_f", s=0)
-        return IdealLabel("two_gen", i=k - s, s=0)
-    if kind == "mixed_one":
-        return IdealLabel("mixed_one", i=k - i, t=k + t - 2 * i, omega=wp)
-    if kind == "mixed_two":
-        if t == 0:
-            return IdealLabel("mixed_two", i=i, t=0, omega=wp)
-        return IdealLabel("two_gen_omega", i=i - t, t=0, s=k - i, omega=wp)
-    if kind == "two_gen":
-        if s == 0:
-            return IdealLabel("u_f", s=k - i)
-        return IdealLabel("two_gen", i=k - s, s=k - i)
-    # two_gen_omega
-    if t == 0:
-        return IdealLabel("mixed_two", i=k - s, t=k - i - s, omega=wp)
-    return IdealLabel("two_gen_omega", i=k - s, t=k + t - i - s, s=k - i,
-                      omega=wp)
+    """(u^a + u^t f w, u^b f) -> (u^(k-b) + u^(t+k-a-b) f w', u^(k-a) f)."""
+    a, b = exponents(label, k)
+    t = label.t
+    if t is None:
+        return canonical_label(k, k - b, k - a)
+    return canonical_label(k, k - b, k - a, t + k - a - b,
+                           qt.omega_prime(fd, j, label.omega))
 
 
 def is_self_dual(code: CyclicCode) -> bool:
@@ -295,8 +270,7 @@ def enumerate_selfdual(n: int, m: int, k: int,
     the number of codes is ``count_selfdual(n, m, k)``.
     """
     _check_k(k)
-    if fd is None:
-        fd = factor_xn_minus_1(n, m, modulus)
+    fd = factor_data(n, m, fd, modulus)
     return (_build_code(fd, k, choice)
             for choice in itertools.product(*_selfdual_lists(fd, k)))
 
@@ -323,8 +297,7 @@ def enumerate_cyclic(n: int, m: int, k: int,
                      fd: FactorData | None = None,
                      modulus: int | None = None):
     """Every cyclic code of length 2n over F_{2^m}[u]/(u^k), streaming."""
-    if fd is None:
-        fd = factor_xn_minus_1(n, m, modulus)
+    fd = factor_data(n, m, fd, modulus)
     per_factor = [list(enumerate_ideals(fd, j, k)) for j in range(fd.r)]
     for combo in itertools.product(*per_factor):
         yield CyclicCode._trusted(fd, k, combo)
@@ -355,9 +328,7 @@ def family_60_30_8(fd: FactorData | None = None) -> list[CyclicCode]:
     Component indices for n=15, m=1: 0 -> x+1, 1 -> x^2+x+1,
     2 -> x^4+x^3+x^2+x+1, 3/4 -> the reciprocal pair x^4+x+1, x^4+x^3+1.
     """
-    if fd is None:
-        fd = factor_xn_minus_1(15, 1)
-    assert (fd.n, fd.m) == (15, 1)
+    fd = factor_data(15, 1, fd)
     u = _lab("u_pow", i=1)
     f = _lab("u_f", s=0)
 

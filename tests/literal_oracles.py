@@ -10,6 +10,10 @@ routes the tests hold it to:
 * ``count_ideals_closed`` is the closed rational form of ``count_ideals``,
   and ``count_ideals_by_shape`` counts the ideals shape by shape
   (``omega1``, ``omega2`` and ``gamma``);
+* ``validate_label_by_kind``, ``omega_truncation_by_kind``,
+  ``size_log2_by_kind``, ``generators_by_kind`` and ``mate_label_by_kind``
+  are the case tables over the six label kinds that ``ideals.exponents``
+  and ``ideals.canonical_label`` replace with one (a, b) rule;
 * ``generator_matrix_rows`` assembles the block generator matrix of a
   self-dual code's Gray image as symbol tuples, each block a pair of
   ``circulant`` matrices of its polynomials, where ``gray.generator_matrix``
@@ -24,7 +28,7 @@ from ucyclic import quotient as qt
 from ucyclic.cyclotomic import FactorData, factor_xn_minus_1
 from ucyclic.duality import shape_k2
 from ucyclic.errors import UnsupportedK
-from ucyclic.gf import P_ZERO, Poly, poly_add, poly_mulmod
+from ucyclic.gf import P_ONE, P_ZERO, Poly, poly_add, poly_degree, poly_mulmod
 from ucyclic.gray import _PAIR_BLOCKS
 from ucyclic.ideals import IdealLabel
 from ucyclic.selfdual import CyclicCode, _build_code, theta_set
@@ -79,6 +83,134 @@ def count_ideals_closed(q: int, k: int) -> int:
     den = (q - 1) ** 2
     assert num % den == 0
     return num // den
+
+
+# ---------------------------------------------------------------------------
+# label case tables, kind by kind
+# ---------------------------------------------------------------------------
+
+def omega_truncation_by_kind(label: IdealLabel, k: int) -> int | None:
+    """Length of the unit expansion attached to a label, if any."""
+    if label.kind == "mixed_one":
+        return label.i - label.t
+    if label.kind == "mixed_two":
+        return k - label.i
+    if label.kind == "two_gen_omega":
+        return label.s - label.t
+    return None
+
+
+def validate_label_by_kind(label: IdealLabel, k: int,
+                           d: int | None = None) -> None:
+    """Raise ValueError unless the label is canonical for nilpotency index k."""
+    kind, i, t, s = label.kind, label.i, label.t, label.s
+    ok = True
+    if kind == "u_pow":
+        ok = i is not None and 0 <= i <= k and t is None and s is None
+    elif kind == "u_f":
+        ok = s is not None and 0 <= s <= k - 1 and i is None and t is None
+    elif kind == "mixed_one":
+        ok = (i is not None and t is not None and s is None
+              and 0 <= t < i <= k - 1 and t >= 2 * i - k)
+    elif kind == "mixed_two":
+        ok = (i is not None and t is not None and s is None
+              and 0 <= t < i <= k - 1 and t < 2 * i - k)
+    elif kind == "two_gen":
+        ok = (i is not None and s is not None and t is None
+              and 0 <= s < i <= k - 1)
+    elif kind == "two_gen_omega":
+        ok = (i is not None and t is not None and s is not None
+              and 0 <= t < s < i <= k - 1 and i + s <= k + t - 1)
+    else:
+        raise ValueError(f"unknown ideal kind {kind!r}")
+    if not ok:
+        raise ValueError(f"out-of-range parameters for {label}")
+    trunc = omega_truncation_by_kind(label, k)
+    if trunc is None:
+        if label.omega is not None:
+            raise ValueError(f"{kind} takes no unit parameter")
+    else:
+        w = label.omega
+        if w is None or len(w) != trunc:
+            raise ValueError(f"{kind} needs a unit expansion of length {trunc}")
+        if not w[0]:
+            raise ValueError("unit expansion must have nonzero constant term")
+        if d is not None and any(poly_degree(c) >= d for c in w):
+            raise ValueError("unit coefficients must be reduced mod f")
+
+
+def size_log2_by_kind(label: IdealLabel, m: int, d: int, k: int) -> int:
+    """log2 of the ideal's cardinality."""
+    kind = label.kind
+    if kind in ("u_pow", "mixed_one"):
+        return 2 * m * d * (k - label.i)
+    if kind == "u_f":
+        return m * d * (k - label.s)
+    if kind == "mixed_two":
+        return m * d * (k - label.t)
+    return m * d * (2 * k - label.i - label.s)      # two_gen, two_gen_omega
+
+
+def generators_by_kind(fd, j: int, k: int, label: IdealLabel):
+    """Generators as elements of K[u]/(u^k), each a k-tuple of K-elements."""
+    validate_label_by_kind(label, k, fd.degree(j))
+    ring = qt.chain_ring(fd, j)
+    f = fd.factors[j]
+    kind = label.kind
+
+    def u_pow_elem(i):
+        out = [P_ZERO] * k
+        if i < k:
+            out[i] = P_ONE
+        return tuple(out)
+
+    def usf_elem(s):
+        out = [P_ZERO] * k
+        out[s] = ring.reduce(f)
+        return tuple(out)
+
+    def mixed_elem(i, t, w):
+        out = [P_ZERO] * k
+        out[i] = P_ONE
+        for l, wl in enumerate(w):
+            if wl:
+                out[t + l] = poly_add(out[t + l], ring.mul(f, wl))
+        return tuple(out)
+
+    if kind == "u_pow":
+        return [u_pow_elem(label.i)]
+    if kind == "u_f":
+        return [usf_elem(label.s)]
+    if kind in ("mixed_one", "mixed_two"):
+        return [mixed_elem(label.i, label.t, label.omega)]
+    if kind == "two_gen":
+        return [u_pow_elem(label.i), usf_elem(label.s)]
+    return [mixed_elem(label.i, label.t, label.omega), usf_elem(label.s)]
+
+
+def mate_label_by_kind(fd, j: int, label: IdealLabel, k: int) -> IdealLabel:
+    """Label of the dual ideal (annihilator, then reciprocal transport)."""
+    kind, i, t, s, w = label.kind, label.i, label.t, label.s, label.omega
+    wp = qt.omega_prime(fd, j, w) if w is not None else None
+    if kind == "u_pow":
+        return _lab("u_pow", i=k - i)
+    if kind == "u_f":
+        if s == 0:
+            return _lab("u_f", s=0)
+        return _lab("two_gen", i=k - s, s=0)
+    if kind == "mixed_one":
+        return _lab("mixed_one", i=k - i, t=k + t - 2 * i, omega=wp)
+    if kind == "mixed_two":
+        if t == 0:
+            return _lab("mixed_two", i=i, t=0, omega=wp)
+        return _lab("two_gen_omega", i=i - t, t=0, s=k - i, omega=wp)
+    if kind == "two_gen":
+        if s == 0:
+            return _lab("u_f", s=k - i)
+        return _lab("two_gen", i=k - s, s=k - i)
+    if t == 0:                                      # two_gen_omega
+        return _lab("mixed_two", i=k - s, t=k - i - s, omega=wp)
+    return _lab("two_gen_omega", i=k - s, t=k + t - i - s, s=k - i, omega=wp)
 
 
 # ---------------------------------------------------------------------------

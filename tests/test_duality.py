@@ -14,10 +14,10 @@ import pytest
 
 from ucyclic import duality as du
 from ucyclic.errors import UnsupportedK
-from ucyclic.ideals import IdealLabel, enumerate_ideals, ideal_members
+from ucyclic.ideals import IdealLabel, enumerate_ideals, ideal_generators
 from ucyclic.oracle import (brute_component_ideals, brute_dual,
                             brute_intersect, brute_is_selfdual,
-                            brute_is_selforthogonal, span_code)
+                            brute_is_selforthogonal, ideal_members, span_code)
 from ucyclic.selfdual import (CyclicCode, enumerate_cyclic,
                               enumerate_selfdual, is_self_dual, mate_label,
                               to_ambient_generators)
@@ -65,7 +65,8 @@ def test_level_rule_matches_component_ideals(fdata, n, m, modulus, j, q):
     middle ideals, in <uf>; and the dual label sits on level 4 - level."""
     fd = fdata(n, m, modulus)
     assert 1 << (m * fd.degree(j)) == q
-    members = {lab: ideal_members(fd, j, 2, lab)
+    members = {lab: ideal_members(fd, j, 2,
+                                  ideal_generators(fd, j, 2, lab))
                for lab in enumerate_ideals(fd, j, 2)}
     assert len(members) == q + 5
     assert set(members.values()) == set(brute_component_ideals(fd, j, 2))

@@ -2,13 +2,29 @@
 counts, sizes, generators, and member sets."""
 from __future__ import annotations
 
-import pytest
+import functools
+import itertools
 
-from literal_oracles import count_ideals_by_shape, count_ideals_closed
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from literal_oracles import (count_ideals_by_shape, count_ideals_closed,
+                             generators_by_kind, mate_label_by_kind,
+                             omega_truncation_by_kind, size_log2_by_kind,
+                             validate_label_by_kind)
 from ucyclic import quotient as qt
-from ucyclic.ideals import (IdealLabel, count_ideals, enumerate_ideals,
-                            ideal_generators, ideal_members, ideal_size_log2,
-                            validate_label)
+from ucyclic.cyclotomic import factor_xn_minus_1
+from ucyclic.gf import poly_from_key
+from ucyclic.ideals import (KINDS, IdealLabel, canonical_label, count_ideals,
+                            enumerate_ideals, exponents, ideal_generators,
+                            ideal_size_log2, omega_truncation, validate_label)
+from ucyclic.oracle import ideal_members, pack_uelem
+from ucyclic.selfdual import _derive_mate_label, mate_label
+
+
+def label_members(fd, j, k, lab):
+    return ideal_members(fd, j, k, ideal_generators(fd, j, k, lab))
 
 
 def test_lk_values():
@@ -120,7 +136,7 @@ def test_members_match_size(fdata, n, m, j, k, modulus):
     fd = fdata(n, m, modulus)
     d = fd.degree(j)
     for lab in enumerate_ideals(fd, j, k):
-        members = ideal_members(fd, j, k, lab)
+        members = label_members(fd, j, k, lab)
         assert len(members) == 1 << ideal_size_log2(lab, m, d, k)
 
 
@@ -129,7 +145,7 @@ def test_members_distinct_ideals(fdata):
     fd = fdata(1, 1)
     seen = {}
     for lab in enumerate_ideals(fd, 0, 3):
-        members = ideal_members(fd, 0, 3, lab)
+        members = label_members(fd, 0, 3, lab)
         assert members not in seen.values()
         seen[lab] = members
 
@@ -138,8 +154,7 @@ def test_generators_lie_in_members(fdata):
     fd = fdata(3, 1)
     for k in (2, 3):
         for lab in enumerate_ideals(fd, 1, k):
-            members = ideal_members(fd, 1, k, lab)
-            from ucyclic.ideals import pack_uelem
+            members = label_members(fd, 1, k, lab)
             for g in ideal_generators(fd, 1, k, lab):
                 assert pack_uelem(fd, 1, k, g) in members
 
@@ -152,3 +167,115 @@ def test_k_below_one_rejected(fdata):
         with pytest.raises(ValueError):
             list(enumerate_ideals(fd, 0, k))
     assert count_ideals(4, 1) == 3 == len(list(enumerate_ideals(fd, 0, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the (a, b) rule against the kind-by-kind case tables
+# ---------------------------------------------------------------------------
+
+# (n, m, modulus): their components hold 215,652 labels over k = 1..8
+FIELDS = [(1, 1, None), (3, 1, None), (5, 1, None), (7, 1, None),
+          (1, 2, None), (3, 2, None), (7, 3, 0xd)]
+
+_factored = functools.cache(factor_xn_minus_1)
+
+
+def _label_sample(fd, j, k):
+    """Every (kind, i, t, s) of component j, each with its first, middle
+    and last unit in enumeration order."""
+    out = []
+    for _, group in itertools.groupby(
+            enumerate_ideals(fd, j, k),
+            key=lambda lab: (lab.kind, lab.i, lab.t, lab.s)):
+        group = list(group)
+        out += {id(lab): lab for lab in
+                (group[0], group[len(group) // 2], group[-1])}.values()
+    return out
+
+
+@pytest.mark.parametrize("n,m,modulus", FIELDS)
+def test_exponent_route_matches_case_tables(n, m, modulus):
+    """Size, unit length, generators and dual label from (a, b) equal the
+    kind-by-kind tables on every parameter choice of every component at
+    k = 1..8, three units each."""
+    fd = _factored(n, m, modulus)
+    for k in range(1, 9):
+        for j in range(fd.r):
+            d = fd.degree(j)
+            for lab in _label_sample(fd, j, k):
+                assert (ideal_size_log2(lab, m, d, k)
+                        == size_log2_by_kind(lab, m, d, k)), lab
+                assert (omega_truncation(lab, k)
+                        == omega_truncation_by_kind(lab, k)), lab
+                assert (ideal_generators(fd, j, k, lab)
+                        == generators_by_kind(fd, j, k, lab)), lab
+                assert (_derive_mate_label(fd, j, lab, k)
+                        == mate_label_by_kind(fd, j, lab, k)), lab
+
+
+def _outcome(validate, label, k, d):
+    try:
+        validate(label, k, d)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_validation_matches_case_tables():
+    """Accept/reject and the message agree with the case tables on a grid of
+    arbitrary labels: every kind (and an unknown one), every presence and
+    value of i, t, s in -1..k+1, and units of each length, zero constant
+    term or unreduced coefficient."""
+    vals = (None, -1, 0, 1, 2, 3, 4, 5)
+    omegas = (None, (), ((1,),), ((),), ((1, 1),), ((1,), ()),
+              ((1,), (1,)), ((1,), (1,), (1,)))
+    seen = set()
+    for k in range(1, 5):
+        for kind in KINDS + ("bogus",):
+            for i, t, s in itertools.product(vals[:k + 3], repeat=3):
+                for w in omegas:
+                    label = IdealLabel(kind, i=i, t=t, s=s, omega=w)
+                    for d in (None, 1):
+                        want = _outcome(validate_label_by_kind, label, k, d)
+                        assert _outcome(validate_label, label, k, d) == want
+                        seen.add(want is None)
+    assert seen == {True, False}
+
+
+@st.composite
+def _labels(draw):
+    """(fd, j, k, (a, b), label), the label built from drawn exponents."""
+    n, m, modulus = draw(st.sampled_from(FIELDS))
+    fd = _factored(n, m, modulus)
+    j = draw(st.integers(0, fd.r - 1))
+    k = draw(st.integers(1, 8))
+    a = draw(st.integers(0, k))
+    if 0 < a < k and draw(st.booleans()):
+        t = draw(st.integers(0, a - 1))
+        b = draw(st.integers(t + 1, min(a, k - a + t)))
+        q = 1 << (m * fd.degree(j))
+        keys = [draw(st.integers(1, q - 1))] + draw(st.lists(
+            st.integers(0, q - 1), min_size=b - t - 1, max_size=b - t - 1))
+        w = tuple(poly_from_key(fd.ctx, key) for key in keys)
+    else:
+        t, w = None, None
+        b = draw(st.integers(0, a))
+    return fd, j, k, (a, b), canonical_label(k, a, b, t, w)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_labels())
+def test_mate_label_properties(drawn):
+    """A label built from any (a, b, t, w) is valid and keeps its (a, b);
+    its mate is valid, mates back to it, and the two sizes add up to the
+    whole component: size(label) + size(mate) = 2k*m*d."""
+    fd, j, k, (a, b), label = drawn
+    d = fd.degree(j)
+    validate_label(label, k, d)
+    assert exponents(label, k) == (a, b)
+    mate = mate_label(fd, j, label, k)
+    validate_label(mate, k, fd.degree(fd.mate(j)))
+    assert mate_label(fd, fd.mate(j), mate, k) == label
+    assert exponents(mate, k) == (k - b, k - a)
+    assert (ideal_size_log2(label, fd.m, d, k)
+            + ideal_size_log2(mate, fd.m, d, k)) == 2 * k * fd.m * d

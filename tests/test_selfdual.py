@@ -9,6 +9,7 @@ import pytest
 from literal_oracles import selfdual_k2_list, selfdual_k345_list
 from ucyclic import duality as du
 from ucyclic import quotient as qt
+from ucyclic.cyclotomic import factor_degrees
 from ucyclic.errors import BadDescriptor, UnsupportedK
 from ucyclic.gf import P_ZERO, poly_key, poly_mulmod
 from ucyclic.ideals import ideal_generators
@@ -265,6 +266,38 @@ def test_count_cyclic(fdata):
     assert count_cyclic(3, 1, 2, fdata(3, 1)) == 7 * 9
     assert count_cyclic(7, 1, 2, fdata(7, 1)) == 7 * 13 * 13
     assert sum(1 for _ in enumerate_cyclic(3, 1, 2, fdata(3, 1))) == 63
+
+
+def test_factor_data_must_match_n_m_and_modulus(fdata):
+    """A passed FactorData is checked against (n, m, modulus) rather than
+    overriding them; matching calls, positional as perfbench makes them,
+    count and list what the unfactored calls do."""
+    fd15, fd3, fd7 = fdata(15, 1), fdata(3, 1), fdata(7, 3, 0xd)
+    refused = [
+        lambda: count_selfdual(3, 1, 2, fd15),      # was 945, the n = 15 count
+        lambda: count_selfdual(3, 2, 2, fd15),      # was 110,925, fd15 at m = 2
+        lambda: count_selfdual(3, 2, 2, fd3),
+        lambda: list(enumerate_selfdual(3, 1, 2, fd15)),   # was length 30
+        lambda: count_cyclic(3, 1, 2, fd15),
+        lambda: list(enumerate_cyclic(3, 1, 2, fd15)),
+        lambda: du.count_selforthogonal(3, 1, fd15),
+        lambda: list(du.enumerate_selforthogonal(3, 1, fd15)),
+        lambda: factor_degrees(3, 1, fd15),
+        lambda: count_selfdual(7, 3, 2, fd7, modulus=0xb),
+        lambda: family_60_30_8(fd3),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match="does not match"):
+            call()
+    assert count_selfdual(3, 1, 2) == count_selfdual(3, 1, 2, fd3) == 9
+    codes = list(enumerate_selfdual(3, 1, 2, fd3))
+    assert len(codes) == 9 and all(c.fd is fd3 and c.n == 3 for c in codes)
+    assert count_selfdual(15, 1, 2, fd15) == 945
+    assert (count_selfdual(7, 3, 2, fd7) == count_selfdual(7, 3, 2, fd7, 0xd)
+            == count_selfdual(7, 3, 2, modulus=0xd))
+    assert du.count_selforthogonal(3, 1, fd3) == len(
+        list(du.enumerate_selforthogonal(3, 1, fd3)))
+    assert factor_degrees(15, 1, fd15) == factor_degrees(15, 1)
 
 
 def test_family_60_30_8_structure(fdata):
