@@ -6,15 +6,16 @@ f_j of x^n - 1, and a cyclic code (an ideal) splits CRT-fashion into one
 ideal per factor.  This package represents codes by those per-component
 ideal labels, enumerates and counts the self-dual and self-orthogonal ones,
 computes duals and hulls, and maps k = 2 codes through the Gray map to
-binary 2-quasi-cyclic codes of length 4n with structured generator
-matrices.  Everything is cross-checked against brute-force oracles
-(`ucyclic.oracle`, `ucyclic verify`) at small sizes.
+2-quasi-cyclic codes of length 4n over F_{2^m}, each with a block
+generator matrix read off its component labels.  Everything is
+cross-checked against brute-force oracles (`ucyclic.oracle`,
+`ucyclic verify`) at small sizes.
 
 Layering: gf (field/polynomial arithmetic) -> cyclotomic (factorization,
 idempotents) -> quotient (component rings) -> ideals (the six-shape ideal
 taxonomy) -> selfdual (Theta sets, mates, enumeration) -> duality (duals,
-hulls, self-orthogonality, k = 2) -> gray (Gray map, generator matrices,
-weight distributions) -> cli.
+hulls, self-orthogonality, k = 2) and gray (Gray map, generator matrices,
+weight distributions), side by side -> cli.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .cyclotomic import FactorData, cyclotomic_cosets, factor_xn_minus_1
 from .duality import (count_selforthogonal, dual_code, enumerate_selforthogonal,
                       hull, hull_dimension, is_self_orthogonal)
 from .errors import (BadDescriptor, DimensionTooLarge, MinDistOfTrivial,
-                     NotSelfDual, TooLarge, UcyclicError, UnsupportedK)
+                     TooLarge, UcyclicError, UnsupportedK)
 from .gf import FieldCtx, default_modulus
 from .gray import (GenMatrix, generator_matrix, gray_image_matrix,
                    gray_map, gray_map_packed, gram_is_zero, is_2_quasi_cyclic,
@@ -38,8 +39,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadDescriptor", "CyclicCode", "DimensionTooLarge", "FactorData",
-    "FieldCtx", "GenMatrix", "IdealLabel", "MinDistOfTrivial", "NotSelfDual",
-    "ThetaSet", "TooLarge", "UcyclicError", "UnsupportedK", "__version__",
+    "FieldCtx", "GenMatrix", "IdealLabel", "MinDistOfTrivial", "ThetaSet",
+    "TooLarge", "UcyclicError", "UnsupportedK", "__version__",
     "count_cyclic", "count_ideals", "count_selfdual", "count_selforthogonal",
     "cyclotomic_cosets", "default_modulus", "dual_code", "enumerate_cyclic",
     "enumerate_ideals", "enumerate_selfdual", "enumerate_selforthogonal",

@@ -10,8 +10,9 @@ enum-selfdual   stream the self-dual codes as JSON descriptors
 count-selforth  number of self-orthogonal cyclic codes of length 2n (k = 2)
 enum-selforth   stream the self-orthogonal codes (k = 2)
 hull            hull (code meet dual) of a described code (k = 2)
-gray            Gray-image generator matrix, weight distribution (census walk),
-                or min distance (information sets, no walk)
+gray            Gray-image generator matrix (the block rows of any k = 2 code),
+                weight distribution (census walk), or min distance
+                (information sets, no walk)
 verify          run the brute-force oracle suite for one (n, m, k)
 tables          the published count tables and the L_k ideal-count list, as CSV
 
@@ -70,7 +71,7 @@ from . import oracle as orc
 from . import selfdual as sd
 from .cyclotomic import (MAX_M, FactorData, cyclotomic_cosets,
                          factor_xn_minus_1)
-from .errors import BadDescriptor, NotSelfDual, TooLarge, UcyclicError
+from .errors import BadDescriptor, TooLarge, UcyclicError
 from .gf import default_modulus, poly_from_key, poly_key
 
 EXIT_OK = 0
@@ -326,22 +327,9 @@ def _cmd_hull(args) -> int:
     return EXIT_OK
 
 
-def _gray_matrix(code: sd.CyclicCode) -> gr.GenMatrix:
-    """Structured matrix for self-dual codes, row reduction otherwise.
-
-    ``generator_matrix`` makes the one self-duality test of the call.
-    """
-    if code.k == 2:
-        try:
-            return gr.generator_matrix(code)
-        except NotSelfDual:
-            pass
-    return gr.gray_image_matrix(code)
-
-
 def _cmd_gray(args) -> int:
     code = _read_code_arg(args.code)
-    gm = _gray_matrix(code)
+    gm = gr.generator_matrix(code)
     threads = _default_threads() if args.threads is None else args.threads
     if args.mindist:
         _emit({"min_distance": gr.min_distance(gm, threads=threads)})
@@ -416,7 +404,7 @@ def _gray_ok(code: sd.CyclicCode) -> bool:
     return (gm.rank() == 2 * code.n and gr.gram_is_zero(gm)
             and gr.is_2_quasi_cyclic(gm)
             and tuple(gr._rref(gm.ctx, gm.packed, gm.cols)[0])
-            == gr.gray_image_matrix(code).packed)
+            == gr._span_image_matrix(code).packed)
 
 
 def _checks(fd: FactorData, k: int) -> list[tuple]:
@@ -646,8 +634,6 @@ def main(argv=None) -> int:
         return EXIT_OK
     except TooLarge as exc:
         return _error(exc, EXIT_TOOLARGE)
-    except NotSelfDual as exc:
-        return _error(exc, EXIT_VERIFY)
     except (UcyclicError, ValueError, OSError) as exc:
         return _error(exc, EXIT_USAGE)
 

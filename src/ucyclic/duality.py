@@ -35,24 +35,11 @@ from .selfdual import (CyclicCode, _build_code, _mate_label,
 
 __all__ = [
     "dual_code", "hull", "hull_dimension", "is_self_orthogonal",
-    "enumerate_selforthogonal", "count_selforthogonal", "shape_k2",
+    "enumerate_selforthogonal", "count_selforthogonal",
 ]
 
 L_ZERO = IdealLabel("u_pow", i=2)
 L_UF = IdealLabel("u_f", s=1)
-
-
-def shape_k2(label: IdealLabel) -> str:
-    """Shape tag of a k=2 component label: zero/one/u/f/uf/mixed/top."""
-    if label.kind == "u_pow":
-        return ("one", "u", "zero")[label.i]
-    if label.kind == "u_f":
-        return ("f", "uf")[label.s]
-    if label.kind == "mixed_one":
-        return "mixed"
-    if label.kind == "two_gen":
-        return "top"
-    raise ValueError(f"not a k=2 label: {label}")
 
 
 def _level(label: IdealLabel) -> int:

@@ -21,9 +21,5 @@ class BadDescriptor(UcyclicError):
     """A code descriptor failed validation."""
 
 
-class NotSelfDual(UcyclicError):
-    """A self-dual-only construction was applied to a non-self-dual code."""
-
-
 class MinDistOfTrivial(UcyclicError):
     """Minimum distance of the zero code is undefined."""

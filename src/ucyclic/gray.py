@@ -7,14 +7,11 @@ F_{2^m}.  Lee weight on R matches Hamming weight downstairs, duality is
 preserved, and the image of a cyclic code is 2-quasi-cyclic.
 
 A :class:`GenMatrix` stores its rows lane-packed (``gm.rows`` unpacks them).
-For self-dual codes the generator matrix of the image is assembled from
-circulant blocks E = [eps_j]_{d_j}, F = [f_j eps_j]_{d_j} and
-W = [(1+f_j w) eps_j]_{d_j}: one 2d_j x 4n block per self-reciprocal
-component and one 4d_j x 4n block per reciprocal pair, by a fixed shape
-table, each block's rows packed once per FactorData by lane rotation.
-Arbitrary codes get a matrix from the generic basis route
-(:func:`gray_image_matrix`), which packs the Gray images of the oracle's
-basis and reduces them.
+The generator matrix of the image of any code is assembled from circulant
+blocks E = [eps_j]_{d_j}, F = [f_j eps_j]_{d_j} and W = [(1+f_j w) eps_j]_{d_j},
+d_j x 4n each: every component takes the blocks of its label's exponents
+(a, b) from one table, each block's rows packed once per FactorData by lane
+rotation.  :func:`gray_image_matrix` is their reduced row echelon form.
 
 Weight distributions walk the full message space with Gray-code row
 updates; every m dispatches to :mod:`ucyclic._kernels`.  Minimum distances
@@ -27,19 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ._kernels import MAX_CENSUS_DIM, weight_census
-from .duality import shape_k2
-from .errors import (DimensionTooLarge, MinDistOfTrivial, NotSelfDual,
-                     UnsupportedK)
+from .errors import DimensionTooLarge, MinDistOfTrivial, UnsupportedK
 from .cyclotomic import FactorData
 from .gf import FieldCtx, Poly, f2x_mod, poly_add, poly_key, poly_mulmod
+from .ideals import exponents
 from .oracle import span_code
-from .selfdual import CyclicCode, is_self_dual, to_ambient_generators
+from .selfdual import CyclicCode, to_ambient_generators
 
 __all__ = [
     "GenMatrix", "gray_map", "gray_map_packed", "unpack_ambient",
     "generator_matrix", "gray_image_matrix", "weight_distribution",
     "min_distance", "is_2_quasi_cyclic", "gram_is_zero", "lee_weight",
-    "lee_weight_vector", "lee_distribution", "rref_fq",
+    "lee_distribution", "rref_fq",
 ]
 
 
@@ -192,22 +188,10 @@ def lee_weight(a: int, b: int) -> int:
     return (b != 0) + ((a ^ b) != 0)
 
 
-def lee_weight_vector(xi) -> int:
-    return sum(lee_weight(a, b) for a, b in xi)
-
-
 def lee_distribution(code: CyclicCode) -> dict[int, int]:
-    """Lee weight histogram of C, censused directly from the codewords."""
-    if code.k != 2:
-        raise UnsupportedK("Lee weights are defined for k=2")
-    n, m = code.n, code.m
-    dc = span_code(n, m, 2, to_ambient_generators(code),
-                   modulus=code.fd.ctx.modulus)
-    hist: dict[int, int] = {}
-    for w in dc.words():
-        lw = lee_weight_vector(unpack_ambient(w, n, m, 2))
-        hist[lw] = hist.get(lw, 0) + 1
-    return hist
+    """Lee weight histogram of C: the Gray map is an isometry from Lee to
+    Hamming weight, so this is the image's weight distribution."""
+    return weight_distribution(generator_matrix(code))
 
 
 # ---------------------------------------------------------------------------
@@ -257,24 +241,20 @@ class GenMatrix:
         return len(_echelon(self.ctx, self.packed, low))
 
 
-# Blocks of the image of a component pair, keyed by the shapes (C_j, C_mate):
-# each block is d_j rows [left | right] of circulants, left and right one of
-# 0, E = eps, F = f eps or W = (1 + f w) eps, taken at j (side 0) or at the
-# mate (side 1).  A self-reciprocal component is its own mate and takes the
-# side-0 blocks of its (shape, shape) entry.
-_PAIR_BLOCKS = {
-    ("one", "zero"): (("0", "E", 0), ("E", "E", 0), ("0", "F", 0),
-                      ("F", "F", 0)),
-    ("zero", "one"): (("0", "E", 1), ("E", "E", 1), ("0", "F", 1),
-                      ("F", "F", 1)),
-    ("u", "u"): (("E", "E", 0), ("F", "F", 0), ("E", "E", 1), ("F", "F", 1)),
-    ("f", "f"): (("0", "F", 0), ("F", "F", 0), ("0", "F", 1), ("F", "F", 1)),
-    ("mixed", "mixed"): (("E", "W", 0), ("F", "F", 0), ("E", "W", 1),
-                         ("F", "F", 1)),
-    ("uf", "top"): (("F", "F", 0), ("E", "E", 1), ("F", "F", 1),
-                    ("0", "F", 1)),
-    ("top", "uf"): (("E", "E", 0), ("F", "F", 0), ("0", "F", 0),
-                    ("F", "F", 1)),
+# The blocks of one component, keyed by its label's exponents (a, b) (the
+# ideal (u^a + u^t f w, u^b f), ``ideals.exponents``).  Each block is d_j rows
+# [left | right] of circulants, the Gray images (b | a + b) of x^i g for
+# i < d_j and one generator g: 0|E for g = 1, E|E for u, 0|F for f and F|F
+# for uf, with E = eps and F = f eps.  A label with a unit w has u + f w in
+# place of u, whose image is E|W with W = (1 + f w) eps.  The ideal has
+# q^(4 - a - b) elements, so it takes 4 - a - b blocks.
+_BLOCKS = {
+    (0, 0): (("0", "E"), ("E", "E"), ("0", "F"), ("F", "F")),
+    (1, 1): (("E", "E"), ("F", "F")),
+    (2, 0): (("0", "F"), ("F", "F")),
+    (2, 1): (("F", "F"),),
+    (1, 0): (("E", "E"), ("F", "F"), ("0", "F")),
+    (2, 2): (),
 }
 
 
@@ -305,39 +285,43 @@ def _block(fd: FactorData, left: str, right: str, j: int,
 
 
 def generator_matrix(code: CyclicCode) -> GenMatrix:
-    """The block generator matrix of the Gray image of a self-dual code.
+    """The block generator matrix of the Gray image of a cyclic code (k=2).
 
-    One 2d_j x 4n block per self-reciprocal component and one 4d_j x 4n
-    block per reciprocal pair, stacked; 2n rows in total, all independent.
+    Component by component, j and then mate(j) when it differs (so a
+    self-dual code gets the pair-by-pair matrix of the paper), the blocks of
+    each label's (a, b) from ``_BLOCKS``, stacked; ``code.dim()`` rows in
+    total, all independent.
     """
     if code.k != 2:
-        raise UnsupportedK("generator matrices are tabulated for k=2")
-    if not is_self_dual(code):
-        raise NotSelfDual("the block table assumes a self-dual code; "
-                          "use gray_image_matrix for arbitrary codes")
+        raise UnsupportedK("the Gray map is defined for k=2")
     fd = code.fd
     rows: list[int] = []
     for j in fd.component_indices():
-        jm = fd.mate(j)
-        shapes = (shape_k2(code.components[j]), shape_k2(code.components[jm]))
-        blocks = _PAIR_BLOCKS.get(shapes)
-        if blocks is None:  # unreachable behind the is_self_dual gate
-            raise NotSelfDual(f"pair shapes {shapes} have no self-dual block")
-        if jm == j:
-            blocks = [b for b in blocks if b[2] == 0]
-        for left, right, side in blocks:
-            at = (j, jm)[side]
-            w = code.components[at].omega[0] if right == "W" else None
-            rows += _block(fd, left, right, at, w)
-    assert len(rows) == 2 * fd.n
+        for at in dict.fromkeys((j, fd.mate(j))):
+            label = code.components[at]
+            for left, right in _BLOCKS[exponents(label, 2)]:
+                w = None
+                if label.omega and (left, right) == ("E", "E"):
+                    right, w = "W", label.omega[0]
+                rows += _block(fd, left, right, at, w)
+    assert len(rows) == code.dim()
     return GenMatrix(fd.ctx, fd.n, packed=tuple(rows))
 
 
 def gray_image_matrix(code: CyclicCode) -> GenMatrix:
-    """Generator matrix of the Gray image of ANY cyclic code (k=2).
+    """The reduced row echelon form of ``generator_matrix(code)``: one
+    matrix per Gray image of a cyclic code (k=2)."""
+    gm = generator_matrix(code)
+    rows, _ = _rref(gm.ctx, gm.packed, gm.cols)
+    return GenMatrix(gm.ctx, gm.n, packed=tuple(rows))
 
-    Generic route: span the code as an F_2 space with the oracle, Gray-map
-    each basis vector to a lane-packed row, and row-reduce over F_{2^m}.
+
+def _span_image_matrix(code: CyclicCode) -> GenMatrix:
+    """``gray_image_matrix`` by the generic route, kept as its oracle.
+
+    Spans the code as an F_2 space with the oracle's closure, Gray-maps each
+    basis vector to a lane-packed row and row-reduces over F_{2^m}; it
+    shares only the elimination with the block route.
     """
     if code.k != 2:
         raise UnsupportedK("the Gray map is defined for k=2")

@@ -299,8 +299,8 @@ def enumerate_cyclic(n: int, m: int, k: int,
     """Every cyclic code of length 2n over F_{2^m}[u]/(u^k), streaming."""
     fd = factor_data(n, m, fd, modulus)
     per_factor = [list(enumerate_ideals(fd, j, k)) for j in range(fd.r)]
-    for combo in itertools.product(*per_factor):
-        yield CyclicCode._trusted(fd, k, combo)
+    return (CyclicCode._trusted(fd, k, combo)
+            for combo in itertools.product(*per_factor))
 
 
 def count_cyclic(n: int, m: int, k: int,

@@ -15,10 +15,15 @@ routes the tests hold it to:
   are the case tables over the six label kinds that ``ideals.exponents``
   and ``ideals.canonical_label`` replace with one (a, b) rule;
 * ``generator_matrix_rows`` assembles the block generator matrix of a
-  self-dual code's Gray image as symbol tuples, each block a pair of
-  ``circulant`` matrices of its polynomials, where ``gray.generator_matrix``
-  rotates lane-packed rows; ``gray_map`` maps (a_i, b_i) symbol pairs to
-  their Gray image, where the package maps a packed vector lane by lane.
+  self-dual code's Gray image as symbol tuples, from the pair-shape table
+  ``PAIR_BLOCKS`` keyed on ``shape_k2``, each block a pair of ``circulant``
+  matrices of its polynomials, where ``gray.generator_matrix`` rotates
+  lane-packed rows picked by one per-component (a, b) table; ``gray_map``
+  maps (a_i, b_i) symbol pairs to their Gray image, where the package maps
+  a packed vector lane by lane;
+* ``lee_distribution_by_words`` walks every codeword of the oracle's span
+  and sums Lee weights, where ``gray.lee_distribution`` takes the Hamming
+  weight distribution of the Gray image.
 """
 from __future__ import annotations
 
@@ -26,12 +31,13 @@ import itertools
 
 from ucyclic import quotient as qt
 from ucyclic.cyclotomic import FactorData, factor_xn_minus_1
-from ucyclic.duality import shape_k2
 from ucyclic.errors import UnsupportedK
 from ucyclic.gf import P_ONE, P_ZERO, Poly, poly_add, poly_degree, poly_mulmod
-from ucyclic.gray import _PAIR_BLOCKS
+from ucyclic.gray import lee_weight, unpack_ambient
 from ucyclic.ideals import IdealLabel
-from ucyclic.selfdual import CyclicCode, _build_code, theta_set
+from ucyclic.oracle import span_code
+from ucyclic.selfdual import (CyclicCode, _build_code, theta_set,
+                              to_ambient_generators)
 
 _lab = IdealLabel
 
@@ -441,10 +447,44 @@ def _hblock(left: Poly, right: Poly, s: int, n2: int):
                                       circulant(right, s, n2))]
 
 
+def shape_k2(label: IdealLabel) -> str:
+    """Shape tag of a k=2 component label: zero/one/u/f/uf/mixed/top."""
+    if label.kind == "u_pow":
+        return ("one", "u", "zero")[label.i]
+    if label.kind == "u_f":
+        return ("f", "uf")[label.s]
+    if label.kind == "mixed_one":
+        return "mixed"
+    if label.kind == "two_gen":
+        return "top"
+    raise ValueError(f"not a k=2 label: {label}")
+
+
+# Blocks of the image of a self-dual code at a component pair, keyed by the
+# shapes (C_j, C_mate): each block is d_j rows [left | right] of circulants,
+# left and right one of 0, E = eps, F = f eps or W = (1 + f w) eps, taken at
+# j (side 0) or at the mate (side 1).  A self-reciprocal component is its
+# own mate and takes the side-0 blocks of its (shape, shape) entry.
+PAIR_BLOCKS = {
+    ("one", "zero"): (("0", "E", 0), ("E", "E", 0), ("0", "F", 0),
+                      ("F", "F", 0)),
+    ("zero", "one"): (("0", "E", 1), ("E", "E", 1), ("0", "F", 1),
+                      ("F", "F", 1)),
+    ("u", "u"): (("E", "E", 0), ("F", "F", 0), ("E", "E", 1), ("F", "F", 1)),
+    ("f", "f"): (("0", "F", 0), ("F", "F", 0), ("0", "F", 1), ("F", "F", 1)),
+    ("mixed", "mixed"): (("E", "W", 0), ("F", "F", 0), ("E", "W", 1),
+                         ("F", "F", 1)),
+    ("uf", "top"): (("F", "F", 0), ("E", "E", 1), ("F", "F", 1),
+                    ("0", "F", 1)),
+    ("top", "uf"): (("E", "E", 0), ("F", "F", 0), ("0", "F", 0),
+                    ("F", "F", 1)),
+}
+
+
 def generator_matrix_rows(code: CyclicCode) -> list[tuple[int, ...]]:
     """The rows of ``gray.generator_matrix(code)`` as symbol tuples, built
     from circulants of E = eps_j, F = f_j eps_j and W = (1 + f_j w) eps_j by
-    the same block table; ``code`` must be self-dual with k = 2.  Every
+    the pair-shape table; ``code`` must be self-dual with k = 2.  Every
     polynomial is computed afresh on each call."""
     fd = code.fd
     n2 = 2 * fd.n
@@ -465,11 +505,24 @@ def generator_matrix_rows(code: CyclicCode) -> list[tuple[int, ...]]:
     rows = []
     for j in fd.component_indices():
         jm = fd.mate(j)
-        blocks = _PAIR_BLOCKS[(shape_k2(code.components[j]),
-                               shape_k2(code.components[jm]))]
+        blocks = PAIR_BLOCKS[(shape_k2(code.components[j]),
+                              shape_k2(code.components[jm]))]
         for left, right, side in blocks:
             if side == 0 or jm != j:
                 at = (j, jm)[side]
                 rows += _hblock(poly(left, at), poly(right, at),
                                 fd.degree(j), n2)
     return rows
+
+
+def lee_distribution_by_words(code: CyclicCode) -> dict[int, int]:
+    """Lee weight histogram of a k = 2 code, one codeword of the oracle's
+    F_2 span at a time."""
+    n, m = code.n, code.m
+    dc = span_code(n, m, 2, to_ambient_generators(code),
+                   modulus=code.fd.ctx.modulus)
+    hist: dict[int, int] = {}
+    for w in dc.words():
+        lw = sum(lee_weight(a, b) for a, b in unpack_ambient(w, n, m, 2))
+        hist[lw] = hist.get(lw, 0) + 1
+    return hist

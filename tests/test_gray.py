@@ -7,15 +7,16 @@ import sys
 import pytest
 
 import ucyclic
-from literal_oracles import circulant, generator_matrix_rows, gray_map
+from literal_oracles import (circulant, generator_matrix_rows, gray_map,
+                             lee_distribution_by_words)
 from ucyclic import duality as du
-from ucyclic.errors import (DimensionTooLarge, MinDistOfTrivial, NotSelfDual,
-                            UnsupportedK)
-from ucyclic.gf import FieldCtx, P_ONE, f2x_is_irreducible
-from ucyclic.gray import (GenMatrix, generator_matrix, gray_image_matrix,
-                          gray_map_packed, gram_is_zero, is_2_quasi_cyclic,
-                          lee_distribution, lee_weight, min_distance, rref_fq,
-                          unpack_ambient, weight_distribution)
+from ucyclic.errors import DimensionTooLarge, MinDistOfTrivial, UnsupportedK
+from ucyclic.gf import FieldCtx, P_ONE, f2x_is_irreducible, f2x_mod
+from ucyclic.gray import (GenMatrix, _lane_low, _span_image_matrix,
+                          generator_matrix, gray_image_matrix, gray_map_packed,
+                          gram_is_zero, is_2_quasi_cyclic, lee_distribution,
+                          lee_weight, min_distance, rref_fq, unpack_ambient,
+                          weight_distribution)
 from ucyclic.ideals import IdealLabel
 from ucyclic.oracle import span_code
 from ucyclic.selfdual import (CyclicCode, enumerate_cyclic,
@@ -172,7 +173,7 @@ def test_generator_matrix_selfdual(fdata, n, m):
         assert is_2_quasi_cyclic(gm)
         # row space equals the actual Gray image
         assert tuple(rref_fq(gm.ctx, gm.rows)[0]) == \
-            tuple(gray_image_matrix(code).rows)
+            tuple(_span_image_matrix(code).rows)
 
 
 def test_generator_matrix_sample_945(fdata):
@@ -182,15 +183,58 @@ def test_generator_matrix_sample_945(fdata):
         gm = generator_matrix(code)
         assert gm.rank() == 30 and gram_is_zero(gm)
         assert tuple(rref_fq(gm.ctx, gm.rows)[0]) == \
-            tuple(gray_image_matrix(code).rows)
+            tuple(_span_image_matrix(code).rows)
 
 
-def test_generator_matrix_requires_selfdual(fdata):
+@pytest.mark.parametrize("n, m, modulus", [(3, 1, None), (7, 1, None),
+                                           (3, 2, None), (1, 3, None),
+                                           (3, 3, 0xd)])
+def test_generator_matrix_every_code(fdata, n, m, modulus):
+    # the (a, b) block table on every cyclic code, self-dual or not:
+    # independent rows spanning the image the oracle's closure spans
+    fd = fdata(n, m, modulus)
+    for code in enumerate_cyclic(n, m, 2, fd):
+        gm = generator_matrix(code)
+        assert len(gm.packed) == gm.rank() == code.dim()
+        assert gray_image_matrix(code) == _span_image_matrix(code)
+
+
+def test_generator_matrix_of_full_space(fdata):
     fd = fdata(3, 1)
     full = CyclicCode(fd, 2, tuple(IdealLabel("u_pow", i=0)
                                    for _ in range(fd.r)))
-    with pytest.raises(NotSelfDual):
-        generator_matrix(full)
+    assert generator_matrix(full).rank() == 12
+
+
+def _cross_gram_is_zero(ctx, left, right) -> bool:
+    """Is every inner product of a row of ``left`` with a row of ``right``
+    zero over F_{2^m}?  (Bit planes as in ``gram_is_zero``.)"""
+    low = _lane_low(ctx.m, left.cols)
+    planes = [[(v >> t) & low for t in range(ctx.m)] for v in right.packed]
+    for a in left.packed:
+        pa = [(a >> t) & low for t in range(ctx.m)]
+        for pb in planes:
+            acc = 0
+            for t, x in enumerate(pa):
+                for s, y in enumerate(pb):
+                    acc ^= ((x & y).bit_count() & 1) << (t + s)
+            if f2x_mod(acc, ctx.modulus):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n, m, modulus", [(3, 1, None), (7, 1, None),
+                                           (3, 2, None), (3, 3, 0xd)])
+def test_gray_image_of_dual_is_dual_of_image(fdata, n, m, modulus):
+    # phi(C^perp) = phi(C)^perp on every cyclic code: complementary ranks and
+    # orthogonal rows; the hull's image has the hull's dimension
+    fd = fdata(n, m, modulus)
+    for code in enumerate_cyclic(n, m, 2, fd):
+        gm, dm = generator_matrix(code), generator_matrix(du.dual_code(code))
+        assert gm.rank() + dm.rank() == 4 * n
+        assert _cross_gram_is_zero(fd.ctx, gm, dm)
+        assert du.hull_dimension(code) == \
+            generator_matrix(du.hull(code)).rank()
 
 
 def test_gray_image_matrix_arbitrary(fdata):
@@ -211,7 +255,7 @@ def test_weight_distribution_equals_member_census(fdata, n, m):
         gm = generator_matrix(code)
         wd = weight_distribution(gm)
         assert wd == _phi_census(code)
-        assert wd == lee_distribution(code)
+        assert lee_distribution(code) == lee_distribution_by_words(code) == wd
         assert sum(wd.values()) == 1 << code.size_log2()
 
 

@@ -270,18 +270,19 @@ def test_count_cyclic(fdata):
 
 def test_factor_data_must_match_n_m_and_modulus(fdata):
     """A passed FactorData is checked against (n, m, modulus) rather than
-    overriding them; matching calls, positional as perfbench makes them,
-    count and list what the unfactored calls do."""
+    overriding them, at the call and not at the first code drawn; matching
+    calls, positional as perfbench makes them, count and list what the
+    unfactored calls do."""
     fd15, fd3, fd7 = fdata(15, 1), fdata(3, 1), fdata(7, 3, 0xd)
     refused = [
         lambda: count_selfdual(3, 1, 2, fd15),      # was 945, the n = 15 count
         lambda: count_selfdual(3, 2, 2, fd15),      # was 110,925, fd15 at m = 2
         lambda: count_selfdual(3, 2, 2, fd3),
-        lambda: list(enumerate_selfdual(3, 1, 2, fd15)),   # was length 30
+        lambda: enumerate_selfdual(3, 1, 2, fd15),     # was length 30
         lambda: count_cyclic(3, 1, 2, fd15),
-        lambda: list(enumerate_cyclic(3, 1, 2, fd15)),
+        lambda: enumerate_cyclic(3, 1, 2, fd15),
         lambda: du.count_selforthogonal(3, 1, fd15),
-        lambda: list(du.enumerate_selforthogonal(3, 1, fd15)),
+        lambda: du.enumerate_selforthogonal(3, 1, fd15),
         lambda: factor_degrees(3, 1, fd15),
         lambda: count_selfdual(7, 3, 2, fd7, modulus=0xb),
         lambda: family_60_30_8(fd3),
