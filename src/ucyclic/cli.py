@@ -400,11 +400,14 @@ def _hull_ok(code: sd.CyclicCode) -> bool:
 
 
 def _gray_ok(code: sd.CyclicCode) -> bool:
+    """The Gray matrix of any k = 2 code: full rank, 2-quasi-cyclic, the
+    span oracle's row space, and (as phi(C^perp) = phi(C)^perp) a zero
+    Gram matrix exactly when the code is self-orthogonal."""
     gm = gr.generator_matrix(code)
-    return (gm.rank() == 2 * code.n and gr.gram_is_zero(gm)
-            and gr.is_2_quasi_cyclic(gm)
+    return (gm.rank() == code.dim() and gr.is_2_quasi_cyclic(gm)
             and tuple(gr._rref(gm.ctx, gm.packed, gm.cols)[0])
-            == gr._span_image_matrix(code).packed)
+            == gr._span_image_matrix(code).packed
+            and gr.gram_is_zero(gm) == du.is_self_orthogonal(code))
 
 
 def _checks(fd: FactorData, k: int) -> list[tuple]:
@@ -412,6 +415,8 @@ def _checks(fd: FactorData, k: int) -> list[tuple]:
     n, m, mod = fd.n, fd.m, fd.ctx.modulus
     selfdual = functools.cache(lambda: sd._selfdual_lists(fd, k))
     selforth = functools.cache(lambda: du._selforth_lists(fd))
+    per_factor = functools.cache(lambda: [list(il.enumerate_ideals(fd, j, k))
+                                          for j in range(fd.r)])
     q_max = 1 << (m * max(map(fd.degree, range(fd.r))))
     long_lists = _refuse(il.count_ideals(q_max, k).bit_length() - 1,
                          LABELS_LOG2, "labels in one component")
@@ -442,6 +447,15 @@ def _checks(fd: FactorData, k: int) -> list[tuple]:
         codes = [build(fd, k, choice) for choice in choices]
         return all(map(ok, codes)), f"{len(codes)} codes{what}"
 
+    def gray():
+        ok_any, drawn = sample(per_factor(), GRAY_SAMPLES, _gray_ok,
+                               " drawn per factor", sd.CyclicCode._trusted)
+        ok_so, selforthogonal = sample(selforth(), GRAY_SAMPLES, _gray_ok,
+                                       " self-orthogonal")
+        return ok_any and ok_so, (
+            f"{drawn}, {selforthogonal}: rank = dim, 2-quasi-cyclic, "
+            "RREF = span oracle's, G.G^T = 0 iff self-orthogonal")
+
     def selfdual_filter():
         brute = sum(orc.brute_is_selfdual(c, mod)
                     for c in orc.brute_all_ideals(n, m, k, mod))
@@ -469,17 +483,15 @@ def _checks(fd: FactorData, k: int) -> list[tuple]:
          _refuse(2 * n * m * k, CENSUS_LOG2, "vectors of R^(2n)"),
          selfdual_filter),
         ("hull-oracle", k2_only, lambda: sample(
-            [list(il.enumerate_ideals(fd, j, k)) for j in range(fd.r)],
-            SAMPLES, _hull_ok, " checked", sd.CyclicCode._trusted)),
+            per_factor(), SAMPLES, _hull_ok, " checked",
+            sd.CyclicCode._trusted)),
         ("selforth-count", k2_only, lambda: count(
             selforth(), du.count_selforthogonal(n, m, fd), "closed form")),
         ("selforth-membership", k2_only, lambda: sample(
             selforth(), SAMPLES,
             lambda c: orc.brute_is_selforthogonal(_dense(c), mod),
             " brute-checked")),
-        ("gray-genmatrix", k2_only, lambda: sample(
-            selfdual(), GRAY_SAMPLES, _gray_ok,
-            ": rank 2n, G.G^T = 0, 2-quasi-cyclic")),
+        ("gray-genmatrix", k2_only, gray),
     ]
 
 

@@ -1,10 +1,12 @@
 """Factorization of x^n - 1 over F_{2^m} (n odd) and the CRT idempotents.
 
 x^n - 1 splits into distinct monic irreducibles f_1 ... f_r with f_1 = x - 1;
-squaring gives the repeated-root factorization of x^(2n) - 1.  Factors come
-from cyclotomic cosets mod n under multiplication by 2^m: the coset of i
-yields the minimal polynomial of gamma^i for a primitive n-th root of unity
-gamma living in the splitting field F_{2^(m*t)}, t = ord_n(2^m).
+squaring gives the repeated-root factorization of x^(2n) - 1.  The factors
+have the sizes of the cyclotomic cosets mod n under multiplication by 2^m.
+They are found over F_{2^m} itself, with no extension field: distinct-degree
+splitting gathers the factors of each degree d, and the trace map of
+F_{2^(m*d)} splits that product (Cantor-Zassenhaus; von zur Gathen-Gerhard,
+*Modern Computer Algebra*, ch. 14).  Both steps cost a polynomial in n and m.
 
 Factor ordering (fixed, everything downstream depends on it):
 
@@ -21,15 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import gf
-from .errors import TooLarge
+from .gf import MAX_M  # noqa: F401  (the cap stays public here too)
 from .gf import (FieldCtx, Poly, P_ONE, P_X, check_modulus, poly_add,
                  poly_degree, poly_divmod, poly_ext_gcd, poly_key, poly_mod,
-                 poly_mul, poly_mulmod, poly_powmod, poly_scale, poly_trim,
-                 reciprocal)
-
-# Largest m accepted by factor_xn_minus_1: the field tables and the subfield
-# embedding of the splitting field hold 2^m entries each.
-MAX_M = 16
+                 poly_mul, poly_mulmod, poly_powmod, poly_scale, reciprocal)
 
 
 def cyclotomic_cosets(n: int, q: int) -> list[tuple[int, ...]]:
@@ -49,85 +46,6 @@ def cyclotomic_cosets(n: int, q: int) -> list[tuple[int, ...]]:
             cur = cur * q % n
         cosets.append(tuple(sorted(coset)))
     return cosets
-
-
-def _mult_order(a: int, n: int) -> int:
-    t, cur = 1, a % n
-    while cur != 1:
-        cur = cur * a % n
-        t += 1
-    return t
-
-
-class _SplittingField:
-    """F_{2^M} containing F_{2^m} and a primitive n-th root of unity."""
-
-    def __init__(self, base: FieldCtx, n: int):
-        t = _mult_order(base.order % n, n) if n > 1 else 1
-        self.big = FieldCtx(base.m * t) if t > 1 else base
-        self.base = base
-        g = gf.find_generator(self.big)
-        self.root = self.big.pow(g, (self.big.order - 1) // n)  # order exactly n
-        self._build_embedding(g)
-
-    def _build_embedding(self, g: int):
-        """``to_base`` maps the image of each base element back to it (None
-        when the base field already holds the roots)."""
-        base, big = self.base, self.big
-        self.to_base = None
-        if big is base:
-            return
-        # The subfield of size 2^m is generated by eta of order 2^m - 1;
-        # the embedding sends y to a root z of base.modulus inside it.
-        sub = {0, 1}
-        if base.order > 2:
-            eta = big.pow(g, (big.order - 1) // (base.order - 1))
-            x = 1
-            for _ in range(base.order - 1):
-                sub.add(x)
-                x = big.mul(x, eta)
-        roots = sorted(z for z in sub
-                       if _eval_f2poly(big, base.modulus, z) == 0)
-        if not roots:
-            raise AssertionError("modulus has no root in the splitting field")
-        z = roots[0]
-        self.to_base = {}
-        for a in range(base.order):
-            acc, zp = 0, 1
-            for i in range(base.m):
-                if (a >> i) & 1:
-                    acc ^= zp
-                zp = big.mul(zp, z)
-            self.to_base[acc] = a
-
-
-def _eval_f2poly(ctx: FieldCtx, bits: int, x0: int) -> int:
-    """Evaluate an int-encoded GF(2) polynomial at x0 in ctx."""
-    r = 0
-    i = bits.bit_length() - 1
-    while i >= 0:
-        r = ctx.mul(r, x0) ^ ((bits >> i) & 1)
-        i -= 1
-    return r
-
-
-def _coset_factor(sf: _SplittingField, coset) -> Poly:
-    """prod_{i in coset} (x - gamma^i), with coefficients mapped back to the base."""
-    big = sf.big
-    f = [1]
-    for i in coset:
-        root = big.pow(sf.root, i)
-        # multiply f by (x + root)
-        nxt = [0] * (len(f) + 1)
-        for j, c in enumerate(f):
-            nxt[j + 1] ^= c
-            nxt[j] ^= big.mul(c, root)
-        f = nxt
-    if sf.to_base is None:
-        return poly_trim(f)
-    if any(c not in sf.to_base for c in f):
-        raise AssertionError("factor coefficient not in the base field")
-    return poly_trim(sf.to_base[c] for c in f)
 
 
 @dataclass
@@ -225,11 +143,9 @@ class FactorData:
         return self._once("transport_basis", j, derive)
 
 
-def _check_nm(n: int, m: int) -> None:
+def _check_n(n: int) -> None:
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and >= 1")
-    if m > MAX_M:
-        raise TooLarge(f"m={m} is above the cap of {MAX_M}")
 
 
 def factor_data(n: int, m: int, fd: FactorData | None = None,
@@ -264,7 +180,7 @@ def factor_degrees(n: int, m: int, fd: FactorData | None = None,
     """
     if fd is not None:
         modulus = factor_data(n, m, fd, modulus).ctx.modulus
-    _check_nm(n, m)
+    _check_n(n)
     check_modulus(m, modulus)
     selfrec, pairs = [], []
     for c in cyclotomic_cosets(n, 1 << m)[1:]:
@@ -276,11 +192,23 @@ def factor_degrees(n: int, m: int, fd: FactorData | None = None,
 
 
 def factor_xn_minus_1(n: int, m: int, modulus: int | None = None) -> FactorData:
-    """Factor x^n - 1 over F_{2^m} and fix the component ordering."""
-    _check_nm(n, m)
+    """Factor x^n - 1 over F_{2^m} and fix the component ordering.
+
+    Distinct-degree splitting: with h = x^(2^(m*d)) mod rest, gcd(h - x,
+    rest) is the product of the degree-d factors left in rest, which
+    :func:`_split` separates.
+    """
+    _check_n(n)
     ctx = FieldCtx(m, modulus)
-    sf = _SplittingField(ctx, n)
-    raw = [_coset_factor(sf, c) for c in cyclotomic_cosets(n, ctx.order)]
+    raw, rest, h, d = [], (1,) + (0,) * (n - 1) + (1,), P_X, 0
+    while poly_degree(rest) > 0:
+        d += 1
+        for _ in range(m):
+            h = poly_mulmod(ctx, h, h, rest)
+        g = poly_ext_gcd(ctx, poly_add(h, P_X), rest)[0]
+        if poly_degree(g) > 0:
+            raw += _split(ctx, g, d)
+            rest = poly_divmod(ctx, rest, g)[0]
 
     by_key = {poly_key(ctx, f): f for f in raw}
     selfrec, pairs = [], []
@@ -316,6 +244,30 @@ def factor_xn_minus_1(n: int, m: int, modulus: int | None = None) -> FactorData:
 
     return FactorData(n=n, m=m, ctx=ctx, factors=tuple(factors),
                       num_selfrec=lam, num_pairs=eps, delta=tuple(delta))
+
+
+def _split(ctx: FieldCtx, f: Poly, d: int) -> list[Poly]:
+    """The monic irreducible factors of f, a product of distinct ones of
+    degree d, split on gcd(f, Tr(a)) for a = y^s x^i in turn.
+
+    Tr(a) = a + a^2 + ... + a^(2^(m*d - 1)) mod f takes each factor's
+    residue field onto F_2, F_2-linearly, and the y^s x^i (s < m, i < deg f)
+    span F_{2^m}[x]/(f) over F_2; so when f is reducible some a gives a
+    proper factor.
+    """
+    if poly_degree(f) == d:
+        return [f]
+    for i in range(poly_degree(f)):
+        for s in range(ctx.m):
+            a = tr = (0,) * i + (1 << s,)
+            for _ in range(ctx.m * d - 1):
+                a = poly_mulmod(ctx, a, a, f)
+                tr = poly_add(tr, a)
+            g = poly_ext_gcd(ctx, f, tr)[0]
+            if 0 < poly_degree(g) < poly_degree(f):
+                return (_split(ctx, g, d)
+                        + _split(ctx, poly_divmod(ctx, f, g)[0], d))
+    raise AssertionError("a product of distinct irreducibles did not split")
 
 
 def compute_idempotents(fd: FactorData) -> tuple[Poly, ...]:

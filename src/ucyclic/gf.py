@@ -5,7 +5,7 @@ Two layers live here:
 * GF(2)[y] polynomials encoded as nonnegative ints (bit i = coefficient of y^i),
   used for field moduli.  Helpers are prefixed ``f2x_``.
 * Field elements of F_{2^m} = F_2[y]/(modulus), also plain ints (< 2^m).
-  A :class:`FieldCtx` owns the modulus and, for m <= 16, log/antilog tables.
+  A :class:`FieldCtx` owns the modulus and its log/antilog tables.
 * Polynomials over F_{2^m} as tuples of ints with no trailing zeros; the zero
   polynomial is the empty tuple.  Helpers are prefixed ``poly_``.
 
@@ -20,7 +20,11 @@ from functools import lru_cache
 from itertools import count
 from math import gcd
 
-LOG_TABLE_MAX_M = 16
+from .errors import TooLarge
+
+# Largest m of any field the package builds: a FieldCtx holds log and
+# antilog tables of 2^m entries each.
+MAX_M = 16
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +59,17 @@ def f2x_mod(a: int, b: int) -> int:
 
 def f2x_mulmod(a: int, b: int, mod: int) -> int:
     return f2x_mod(f2x_mul(a, b), mod)
+
+
+def f2x_powmod(a: int, e: int, mod: int) -> int:
+    """a^e modulo mod, for e >= 0."""
+    r = f2x_mod(1, mod)
+    while e:
+        if e & 1:
+            r = f2x_mulmod(r, a, mod)
+        a = f2x_mulmod(a, a, mod)
+        e >>= 1
+    return r
 
 
 def f2x_gcd(a: int, b: int) -> int:
@@ -169,9 +184,11 @@ def _factorint(nval: int) -> tuple[int, ...]:
 
 def check_modulus(m: int, modulus: int | None = None) -> int:
     """The modulus of F_{2^m} (default per m); ValueError unless it is an
-    irreducible of degree m."""
+    irreducible of degree m, TooLarge for m above MAX_M."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    if m > MAX_M:
+        raise TooLarge(f"m={m} is above the cap of {MAX_M}")
     if modulus is None:
         return default_modulus(m)
     if f2x_degree(modulus) != m:
@@ -191,16 +208,10 @@ class FieldCtx:
         self.m = m
         self.modulus = modulus
         self.order = 1 << m
-        self._exp = None
-        self._log = None
-        if m <= LOG_TABLE_MAX_M:
-            self._build_tables()
-
-    def _build_tables(self):
         exp = [1] * (self.order - 1)
-        g = find_generator(self)        # tables not built yet: f2x_mulmod
+        g = find_generator(m, modulus)
         for i in range(1, len(exp)):
-            exp[i] = f2x_mulmod(exp[i - 1], g, self.modulus)
+            exp[i] = f2x_mulmod(exp[i - 1], g, modulus)
         log = [0] * self.order
         for i, v in enumerate(exp):
             log[v] = i
@@ -210,32 +221,17 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            s = self._log[a] + self._log[b]
-            q1 = self.order - 1
-            if s >= q1:
-                s -= q1
-            return self._exp[s]
-        return f2x_mulmod(a, b, self.modulus)
+        s = self._log[a] + self._log[b]
+        q1 = self.order - 1
+        if s >= q1:
+            s -= q1
+        return self._exp[s]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        if self._exp is not None:
-            q1 = self.order - 1
-            return self._exp[(q1 - self._log[a]) % q1]
-        return self.pow(a, self.order - 2)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        q1 = self.order - 1
+        return self._exp[(q1 - self._log[a]) % q1]
 
     def __eq__(self, other):
         return (isinstance(other, FieldCtx)
@@ -248,14 +244,15 @@ class FieldCtx:
         return f"FieldCtx(m={self.m}, modulus={self.modulus:#x})"
 
 
-def find_generator(ctx: FieldCtx) -> int:
-    """Smallest int generating the multiplicative group of ctx."""
-    q1 = ctx.order - 1
+def find_generator(m: int, modulus: int) -> int:
+    """Smallest int generating the multiplicative group of F_2[y]/(modulus),
+    for an irreducible modulus of degree m (no cap on m)."""
+    q1 = (1 << m) - 1
     if q1 == 1:
         return 1
     exps = [q1 // p for p in _factorint(q1)]
-    for g in range(2, ctx.order):
-        if all(ctx.pow(g, e) != 1 for e in exps):
+    for g in range(2, q1 + 1):
+        if all(f2x_powmod(g, e, modulus) != 1 for e in exps):
             return g
     raise AssertionError("no field generator found")
 

@@ -23,16 +23,23 @@ routes the tests hold it to:
   a packed vector lane by lane;
 * ``lee_distribution_by_words`` walks every codeword of the oracle's span
   and sums Lee weights, where ``gray.lee_distribution`` takes the Hamming
-  weight distribution of the Gray image.
+  weight distribution of the Gray image;
+* ``factor_by_splitting_field`` factors x^n - 1 from the roots of unity in
+  the splitting field F_{2^(m*t)}, one cyclotomic coset per factor, and
+  orders the factors by its own loop, where ``factor_xn_minus_1`` splits
+  over F_{2^m} itself.
 """
 from __future__ import annotations
 
 import itertools
 
 from ucyclic import quotient as qt
-from ucyclic.cyclotomic import FactorData, factor_xn_minus_1
+from ucyclic.cyclotomic import FactorData, cyclotomic_cosets, factor_xn_minus_1
 from ucyclic.errors import UnsupportedK
-from ucyclic.gf import P_ONE, P_ZERO, Poly, poly_add, poly_degree, poly_mulmod
+from ucyclic.gf import (P_ONE, P_ZERO, FieldCtx, Poly, default_modulus,
+                        f2x_is_irreducible, f2x_mulmod, f2x_powmod,
+                        find_generator, poly_add, poly_degree, poly_key,
+                        poly_monic, poly_mulmod, reciprocal)
 from ucyclic.gray import lee_weight, unpack_ambient
 from ucyclic.ideals import IdealLabel
 from ucyclic.oracle import span_code
@@ -526,3 +533,78 @@ def lee_distribution_by_words(code: CyclicCode) -> dict[int, int]:
         lw = sum(lee_weight(a, b) for a, b in unpack_ambient(w, n, m, 2))
         hist[lw] = hist.get(lw, 0) + 1
     return hist
+
+
+# ---------------------------------------------------------------------------
+# factoring x^n - 1 in the splitting field
+# ---------------------------------------------------------------------------
+
+def last_modulus(m: int) -> int:
+    """The largest irreducible of degree m: not the default for m >= 3
+    (y^2 + y + 1 is the only irreducible of degree 2)."""
+    return next(a for a in range((1 << (m + 1)) - 1, 1 << m, -1)
+                if f2x_is_irreducible(a))
+
+
+def factor_by_splitting_field(n: int, m: int,
+                              modulus: int | None = None) -> FactorData:
+    """``factor_xn_minus_1`` through F_{2^M}, M = m*t, t = ord_n(2^m).
+
+    The coset of i gives prod (x - gamma^e), e in the coset, for gamma of
+    order n in F_{2^M}; its coefficients lie in the subfield of size 2^m,
+    and a root z of the modulus there maps them back (z^i -> y^i).  Another
+    root changes each factor by a Frobenius map of F_{2^m}, which permutes
+    the factors, so the set found does not depend on z.  Big-field products
+    are ``f2x_mulmod`` on ints, so M may exceed the field cap; the subfield
+    is walked element by element until a root turns up, so the cost grows
+    as 2^m.
+    """
+    ctx = FieldCtx(m, modulus)
+    q = ctx.order
+    t = next(t for t in range(1, n + 1) if (q ** t - 1) % n == 0)
+    big = ctx.modulus if t == 1 else default_modulus(m * t)
+    q1 = (1 << (m * t)) - 1
+    g = find_generator(m * t, big)
+    gamma = f2x_powmod(g, q1 // n, big)
+
+    def is_root(z: int) -> bool:
+        acc = 0
+        for i in range(m, -1, -1):
+            acc = f2x_mulmod(acc, z, big) ^ (ctx.modulus >> i & 1)
+        return acc == 0
+
+    z, eta = (1, f2x_powmod(g, q1 // (q - 1), big)) if t > 1 else (0b10, 1)
+    while not is_root(z):
+        z = f2x_mulmod(z, eta, big)
+    z_pows = [f2x_powmod(z, i, big) for i in range(m)]
+    to_base = {}
+    for a in range(q):
+        acc = 0
+        for i in range(m):
+            if a >> i & 1:
+                acc ^= z_pows[i]
+        to_base[acc] = a
+
+    raw = []
+    for coset in cyclotomic_cosets(n, q):
+        f = [1]
+        for e in coset:
+            root = f2x_powmod(gamma, e, big)
+            f = [a ^ f2x_mulmod(b, root, big)
+                 for a, b in zip([0] + f, f + [0])]
+        raw.append(tuple(to_base[c] for c in f))
+
+    def key(f):
+        return poly_degree(f), poly_key(ctx, f)
+
+    def mate(f):
+        return poly_monic(ctx, reciprocal(f))
+
+    selfrec = sorted((f for f in raw if mate(f) == f and f != (1, 1)),
+                     key=key)
+    reps = sorted((f for f in raw if poly_key(ctx, f) < poly_key(ctx, mate(f))),
+                  key=key)
+    factors = ((1, 1), *selfrec, *reps, *map(mate, reps))
+    return FactorData(n=n, m=m, ctx=ctx, factors=factors,
+                      num_selfrec=1 + len(selfrec), num_pairs=len(reps),
+                      delta=tuple(reciprocal(f)[-1] for f in factors))

@@ -316,7 +316,10 @@ def _shift_right_half(gm: gr.GenMatrix) -> gr.GenMatrix:
 
 
 @pytest.mark.parametrize("module,name,broken,failing", [
-    (du, "hull", lambda orig: lambda code: code, ["hull-oracle"]),
+    # is_self_orthogonal reads the hull, which the Gray row's Gram check
+    # holds to the Gray image
+    (du, "hull", lambda orig: lambda code: code,
+     ["hull-oracle", "gray-genmatrix"]),
     (sd, "count_selfdual",
      lambda orig: lambda *a, **kw: orig(*a, **kw) + 1,
      ["selfdual-count", "selfdual-filter"]),
@@ -324,7 +327,12 @@ def _shift_right_half(gm: gr.GenMatrix) -> gr.GenMatrix:
      lambda orig: lambda *a, **kw: orig(*a, **kw) + 1, ["selforth-count"]),
     (gr, "generator_matrix", lambda orig: lambda code: _shift_right_half(
         orig(code)), ["gray-genmatrix"]),
-], ids=["hull", "count_selfdual", "count_selforthogonal", "generator_matrix"])
+    # 0|E in place of 0|F: rank and row count hold, the row space moves,
+    # and no self-dual code has a component of this (a, b)
+    (gr, "_BLOCKS", lambda orig: orig | {
+        (1, 0): (("E", "E"), ("F", "F"), ("0", "E"))}, ["gray-genmatrix"]),
+], ids=["hull", "count_selfdual", "count_selforthogonal", "generator_matrix",
+        "gray_blocks_1_0"])
 def test_verify_fails_on_broken_closed_form(capsys, monkeypatch, module,
                                             name, broken, failing):
     monkeypatch.setattr(module, name, broken(getattr(module, name)))

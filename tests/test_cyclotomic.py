@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import pytest
 
-from ucyclic.gf import (P_ONE, poly_add, poly_degree, poly_key, poly_mod,
-                        poly_monic, poly_mul, poly_mulmod, reciprocal)
+from literal_oracles import factor_by_splitting_field, last_modulus
+from ucyclic.gf import (P_ONE, default_modulus, poly_add, poly_degree,
+                        poly_key, poly_mod, poly_monic, poly_mul, poly_mulmod,
+                        reciprocal)
 from ucyclic.cyclotomic import (MAX_M, cyclotomic_cosets, factor_degrees,
                                 factor_xn_minus_1)
 from ucyclic.duality import count_selforthogonal
@@ -136,3 +138,55 @@ def test_counts_refuse_what_factoring_refuses(n, m, modulus, error):
         with pytest.raises(error) as got:
             count()
         assert str(got.value) == str(want.value)
+
+
+def _extension_degree(n: int, m: int) -> int:
+    """t = ord_n(2^m): the splitting field of x^n - 1 is F_{2^(m*t)}."""
+    return next(t for t in range(1, n + 1) if ((1 << m * t) - 1) % n == 0)
+
+
+def _moduli(m: int) -> list[int]:
+    """The smallest and the largest irreducible of degree m."""
+    return sorted({default_modulus(m), last_modulus(m)})
+
+
+def _oracle_fields(m: int) -> list[tuple[int, int]]:
+    """(n, modulus) where the splitting-field oracle stays cheap: every odd
+    n <= 49 with m*t <= 20 up to m = 6, then n in {3, 5, 7, 9} with
+    m*t <= 24."""
+    ns, cap = (range(1, 50, 2), 20) if m <= 6 else ((3, 5, 7, 9), 24)
+    return [(n, mod) for n in ns if m * _extension_degree(n, m) <= cap
+            for mod in _moduli(m)]
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_factoring_matches_splitting_field_oracle(m):
+    """Same factors in the same order, the same pairing and delta, as the
+    route through the splitting field, under both extreme moduli."""
+    for n, mod in _oracle_fields(m):
+        got = factor_xn_minus_1(n, m, mod)
+        want = factor_by_splitting_field(n, m, mod)
+        assert (got.factors, got.delta, got.num_selfrec, got.num_pairs) == (
+            want.factors, want.delta, want.num_selfrec, want.num_pairs), (
+            n, m, hex(mod))
+
+
+@pytest.mark.parametrize("m", range(9, MAX_M + 1))
+def test_factoring_at_large_m(m):
+    """Where the oracle's 2^m subfield walk is too slow: exactly one monic
+    non-constant factor per coset whose product is x^n - 1 (so each factor
+    is irreducible), with the coset degrees."""
+    for n in (3, 5, 7, 9, 15):
+        r = len(cyclotomic_cosets(n, 1 << m))
+        for mod in _moduli(m):
+            fd = factor_xn_minus_1(n, m, mod)
+            assert fd.r == r
+            prod = P_ONE
+            for f in fd.factors:
+                assert poly_degree(f) >= 1 and f[-1] == 1
+                prod = poly_mul(fd.ctx, prod, f)
+            assert prod == xn_minus_1(n)
+            lam, eps = fd.num_selfrec, fd.num_pairs
+            assert factor_degrees(n, m, None, mod) == (
+                [fd.degree(j) for j in range(1, lam)],
+                [fd.degree(j) for j in range(lam, lam + eps)]), (n, hex(mod))

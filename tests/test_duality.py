@@ -14,6 +14,7 @@ import pytest
 
 from ucyclic import duality as du
 from ucyclic.errors import UnsupportedK
+from ucyclic.gf import poly_from_key
 from ucyclic.ideals import IdealLabel, enumerate_ideals, ideal_generators
 from ucyclic.oracle import (brute_component_ideals, brute_dual,
                             brute_intersect, brute_is_selfdual,
@@ -34,6 +35,40 @@ def sample_codes(fd, count, seed):
     per = [list(enumerate_ideals(fd, j, 2)) for j in range(fd.r)]
     return [CyclicCode(fd, 2, tuple(rng.choice(labels) for labels in per))
             for _ in range(count)]
+
+
+# the k = 2 labels of a component other than mixed_one (i=1, t=0, w)
+K2_FIXED = (IdealLabel("u_pow", i=0), IdealLabel("u_pow", i=1),
+            IdealLabel("u_pow", i=2), IdealLabel("u_f", s=0),
+            IdealLabel("u_f", s=1), IdealLabel("two_gen", i=1, s=0))
+
+
+def k2_label(fd, j, r):
+    """Label number r < q + 5 of component j at k = 2, with nothing listed:
+    the six fixed labels, then mixed_one with the residue w of key r - 5."""
+    if r < len(K2_FIXED):
+        return K2_FIXED[r]
+    return IdealLabel("mixed_one", i=1, t=0,
+                      omega=(poly_from_key(fd.ctx, r - 5),))
+
+
+def draw_k2_code(fd, rng):
+    """A k = 2 code with one uniform label per component, drawn by number,
+    so components with 2^21 labels cost no more than small ones."""
+    return CyclicCode(fd, 2, tuple(
+        k2_label(fd, j, rng.randrange((1 << fd.m * fd.degree(j)) + 5))
+        for j in range(fd.r)))
+
+
+@pytest.mark.parametrize("n,m,modulus", [(3, 1, None), (15, 1, None),
+                                         (3, 2, None), (7, 3, 0xd)])
+def test_k2_label_numbers_every_label_once(fdata, n, m, modulus):
+    fd = fdata(n, m, modulus)
+    for j in range(fd.r):
+        q = 1 << (m * fd.degree(j))
+        labels = {k2_label(fd, j, r) for r in range(q + 5)}
+        assert len(labels) == q + 5
+        assert labels == set(enumerate_ideals(fd, j, 2))
 
 
 def test_shape_k2_partition(fdata):
@@ -129,6 +164,21 @@ def test_hull_and_selforth_equal_brute_sampled(fdata, n, m, modulus):
         assert sorted(dense(du.hull(code)).basis) == sorted(brute.basis)
         assert du.is_self_orthogonal(code) == (len(brute.basis)
                                                == len(d.basis))
+
+
+@pytest.mark.parametrize("n", range(1, 50, 2))
+def test_dual_and_hull_equal_brute_every_odd_n(fdata, n):
+    """20 drawn codes at each length 2n <= 98 over F_2 + uF_2, listing no
+    component (the largest at n = 41, 47 and 49 have 2^20 and more labels)."""
+    fd = fdata(n, 1)
+    rng = random.Random(n)
+    for _ in range(20):
+        code = draw_k2_code(fd, rng)
+        d = dense(code)
+        brute = brute_dual(d, fd.ctx.modulus)
+        assert sorted(dense(du.dual_code(code)).basis) == sorted(brute.basis)
+        assert sorted(dense(du.hull(code)).basis) == sorted(
+            brute_intersect(d, brute).basis)
 
 
 def test_hull_properties(fdata):

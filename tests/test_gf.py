@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import pytest
 
-from ucyclic.gf import (FieldCtx, P_ONE, P_ZERO, _factorint, default_modulus,
-                        f2x_degree, f2x_is_irreducible, f2x_mul,
-                        find_primitive, poly_add, poly_degree, poly_divmod,
-                        poly_ext_gcd, poly_from_key, poly_key, poly_mod,
-                        poly_monic, poly_mul, poly_mulmod, poly_powmod,
-                        poly_trim, reciprocal)
+from ucyclic.errors import TooLarge
+from ucyclic.gf import (MAX_M, FieldCtx, P_ONE, P_ZERO, _factorint,
+                        default_modulus, f2x_degree, f2x_is_irreducible,
+                        f2x_mul, find_primitive, poly_add, poly_degree,
+                        poly_divmod, poly_ext_gcd, poly_from_key, poly_key,
+                        poly_mod, poly_monic, poly_mul, poly_mulmod,
+                        poly_powmod, poly_trim, reciprocal)
 
 
 def test_f2x_basics():
@@ -34,6 +35,14 @@ def test_fieldctx_rejects_bad_modulus():
         FieldCtx(2, 0b101)     # (y+1)^2 is reducible
     with pytest.raises(ValueError):
         FieldCtx(2, 0b1011)    # degree 3 != m
+
+
+def test_fieldctx_refuses_m_above_the_cap():
+    assert MAX_M == 16
+    with pytest.raises(TooLarge, match="m=17 is above the cap of 16"):
+        FieldCtx(17)
+    with pytest.raises(TooLarge):          # a valid modulus changes nothing
+        FieldCtx(17, default_modulus(17))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])

@@ -8,10 +8,10 @@ import pytest
 
 import ucyclic
 from literal_oracles import (circulant, generator_matrix_rows, gray_map,
-                             lee_distribution_by_words)
+                             last_modulus, lee_distribution_by_words)
 from ucyclic import duality as du
 from ucyclic.errors import DimensionTooLarge, MinDistOfTrivial, UnsupportedK
-from ucyclic.gf import FieldCtx, P_ONE, f2x_is_irreducible, f2x_mod
+from ucyclic.gf import FieldCtx, P_ONE, f2x_mod
 from ucyclic.gray import (GenMatrix, _lane_low, _span_image_matrix,
                           generator_matrix, gray_image_matrix, gray_map_packed,
                           gram_is_zero, is_2_quasi_cyclic, lee_distribution,
@@ -411,13 +411,6 @@ def _ref_quasi_cyclic(ctx, rows):
     return True
 
 
-def _last_modulus(m: int) -> int:
-    """The largest irreducible of degree m: not the default for m >= 3
-    (y^2 + y + 1 is the only irreducible of degree 2)."""
-    return next(a for a in range((1 << (m + 1)) - 1, 1 << m, -1)
-                if f2x_is_irreducible(a))
-
-
 def _random_matrices(rng, ctx, count):
     """Random matrices of width 4n with zero rows, repeated rows, rank
     deficiency and (mostly) nonzero Gram matrices."""
@@ -454,7 +447,7 @@ def _random_matrices(rng, ctx, count):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])    # m = 6 packs lane by lane
 def test_packed_routines_match_tuple_reference(m):
     from ucyclic.oracle import rref_bits
-    ctx = FieldCtx(m, _last_modulus(m))
+    ctx = FieldCtx(m, last_modulus(m))
     rng = random.Random(100 + m)
     seen_gram_zero = 0
     for n, rows in _random_matrices(rng, ctx, 150):
@@ -476,7 +469,7 @@ def test_packed_routines_match_tuple_reference(m):
 @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (3, 3), (1, 4)])
 def test_packed_routines_on_selfdual_images(n, m):
     from ucyclic.cyclotomic import factor_xn_minus_1
-    fd = factor_xn_minus_1(n, m, _last_modulus(m))
+    fd = factor_xn_minus_1(n, m, last_modulus(m))
     codes = list(enumerate_selfdual(n, m, 2, fd))
     for code in random.Random(7).sample(codes, min(len(codes), 25)):
         gm = generator_matrix(code)
