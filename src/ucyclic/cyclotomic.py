@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 from . import gf
 from .gf import MAX_M  # noqa: F401  (the cap stays public here too)
 from .gf import (FieldCtx, Poly, P_ONE, P_X, check_modulus, poly_add,
-                 poly_degree, poly_divmod, poly_ext_gcd, poly_key, poly_mod,
-                 poly_mul, poly_mulmod, poly_powmod, poly_scale, reciprocal)
+                 poly_degree, poly_divmod, poly_ext_gcd, poly_gcd, poly_key,
+                 poly_mod, poly_mul, poly_mulmod, poly_powmod, poly_scale,
+                 reciprocal)
 
 
 def cyclotomic_cosets(n: int, q: int) -> list[tuple[int, ...]]:
@@ -205,7 +206,7 @@ def factor_xn_minus_1(n: int, m: int, modulus: int | None = None) -> FactorData:
         d += 1
         for _ in range(m):
             h = poly_mulmod(ctx, h, h, rest)
-        g = poly_ext_gcd(ctx, poly_add(h, P_X), rest)[0]
+        g = poly_gcd(ctx, poly_add(h, P_X), rest)
         if poly_degree(g) > 0:
             raw += _split(ctx, g, d)
             rest = poly_divmod(ctx, rest, g)[0]
@@ -246,27 +247,32 @@ def factor_xn_minus_1(n: int, m: int, modulus: int | None = None) -> FactorData:
                       num_selfrec=lam, num_pairs=eps, delta=tuple(delta))
 
 
-def _split(ctx: FieldCtx, f: Poly, d: int) -> list[Poly]:
+def _split(ctx: FieldCtx, f: Poly, d: int, c: int = 0) -> list[Poly]:
     """The monic irreducible factors of f, a product of distinct ones of
-    degree d, split on gcd(f, Tr(a)) for a = y^s x^i in turn.
+    degree d, split on gcd(f, Tr(a)) for the candidates a = y^s x^i,
+    numbered c = (i - 1) * m + s, from c on.
 
     Tr(a) = a + a^2 + ... + a^(2^(m*d - 1)) mod f takes each factor's
     residue field onto F_2, F_2-linearly, and the y^s x^i (s < m, i < deg f)
     span F_{2^m}[x]/(f) over F_2; so when f is reducible some a gives a
-    proper factor.
+    proper factor.  i = 0 is skipped: a constant's trace is the same bit on
+    every factor.  A candidate that does not split f has a constant trace on
+    every divisor of f too, so both parts resume from the one that split.
     """
+    m = ctx.m
     if poly_degree(f) == d:
         return [f]
-    for i in range(poly_degree(f)):
-        for s in range(ctx.m):
-            a = tr = (0,) * i + (1 << s,)
-            for _ in range(ctx.m * d - 1):
-                a = poly_mulmod(ctx, a, a, f)
-                tr = poly_add(tr, a)
-            g = poly_ext_gcd(ctx, f, tr)[0]
-            if 0 < poly_degree(g) < poly_degree(f):
-                return (_split(ctx, g, d)
-                        + _split(ctx, poly_divmod(ctx, f, g)[0], d))
+    while c < (poly_degree(f) - 1) * m:
+        i, s = divmod(c, m)
+        a = tr = (0,) * (i + 1) + (1 << s,)
+        for _ in range(m * d - 1):
+            a = poly_mulmod(ctx, a, a, f)
+            tr = poly_add(tr, a)
+        g = poly_gcd(ctx, f, tr)
+        if 0 < poly_degree(g) < poly_degree(f):
+            return (_split(ctx, g, d, c)
+                    + _split(ctx, poly_divmod(ctx, f, g)[0], d, c))
+        c += 1
     raise AssertionError("a product of distinct irreducibles did not split")
 
 

@@ -341,6 +341,13 @@ def poly_monic(ctx: FieldCtx, a: Poly) -> Poly:
     return poly_scale(ctx, a, ctx.inv(a[-1]))
 
 
+def poly_gcd(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
+    """The monic gcd(a, b), without the Bezout cofactors."""
+    while b:
+        a, b = b, poly_mod(ctx, a, b)
+    return poly_monic(ctx, a)
+
+
 def poly_ext_gcd(ctx: FieldCtx, a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """Return (g, s, t) with s*a + t*b = g = gcd(a, b), g monic."""
     s, s1 = P_ONE, P_ZERO

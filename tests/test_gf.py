@@ -7,9 +7,9 @@ from ucyclic.errors import TooLarge
 from ucyclic.gf import (MAX_M, FieldCtx, P_ONE, P_ZERO, _factorint,
                         default_modulus, f2x_degree, f2x_is_irreducible,
                         f2x_mul, find_primitive, poly_add, poly_degree,
-                        poly_divmod, poly_ext_gcd, poly_from_key, poly_key,
-                        poly_mod, poly_monic, poly_mul, poly_mulmod,
-                        poly_powmod, poly_trim, reciprocal)
+                        poly_divmod, poly_ext_gcd, poly_from_key, poly_gcd,
+                        poly_key, poly_mod, poly_monic, poly_mul,
+                        poly_mulmod, poly_powmod, poly_trim, reciprocal)
 
 
 def test_f2x_basics():
@@ -98,11 +98,20 @@ def test_poly_gcd_and_ext_gcd():
     g, s, t = poly_ext_gcd(ctx, a, b)
     assert g == (1, 1)
     assert poly_add(poly_mul(ctx, s, a), poly_mul(ctx, t, b)) == g
+    assert poly_gcd(ctx, a, b) == poly_gcd(ctx, b, a) == g
     # coprime pair gives a usable inverse
     f, mod = (1, 1), (1, 1, 1)
     g3, s3, _ = poly_ext_gcd(ctx, f, mod)
     assert g3 == P_ONE
     assert poly_mulmod(ctx, f, s3, mod) == P_ONE
+    assert poly_gcd(ctx, f, mod) == P_ONE
+    # over F_4 the gcd comes out monic: gcd(w(x+1)(x+w), w^2(x+1)) = x+1
+    ctx4 = FieldCtx(2)
+    w = 2
+    lin = (1, 1)
+    a4 = poly_mul(ctx4, (w,), poly_mul(ctx4, lin, (w, 1)))
+    b4 = poly_mul(ctx4, (ctx4.mul(w, w),), lin)
+    assert poly_gcd(ctx4, a4, b4) == poly_ext_gcd(ctx4, a4, b4)[0] == lin
 
 
 def test_poly_powmod_fermat():
