@@ -247,32 +247,29 @@ def factor_xn_minus_1(n: int, m: int, modulus: int | None = None) -> FactorData:
                       num_selfrec=lam, num_pairs=eps, delta=tuple(delta))
 
 
-def _split(ctx: FieldCtx, f: Poly, d: int, c: int = 0) -> list[Poly]:
+def _split(ctx: FieldCtx, f: Poly, d: int, start: int = 0) -> list[Poly]:
     """The monic irreducible factors of f, a product of distinct ones of
-    degree d, split on gcd(f, Tr(a)) for the candidates a = y^s x^i,
-    numbered c = (i - 1) * m + s, from c on.
+    degree d, split on gcd(f, Tr(a)) for a = y^s x^i, the candidates
+    c = (i - 1) * m + s from ``start`` on.
 
-    Tr(a) = a + a^2 + ... + a^(2^(m*d - 1)) mod f takes each factor's
-    residue field onto F_2, F_2-linearly, and the y^s x^i (s < m, i < deg f)
-    span F_{2^m}[x]/(f) over F_2; so when f is reducible some a gives a
-    proper factor.  i = 0 is skipped: a constant's trace is the same bit on
-    every factor.  A candidate that does not split f has a constant trace on
-    every divisor of f too, so both parts resume from the one that split.
+    Tr(a) = a + a^2 + ... + a^(2^(m*d - 1)) mod f maps each factor's residue
+    field F_2-linearly onto F_2, and the y^s x^i (s < m, i < deg f) span
+    F_{2^m}[x]/(f) over F_2, so a reducible f has a candidate that splits it.
+    A constant (i = 0) has the same trace bit on every factor, and a candidate
+    that fails on f fails on each divisor of f, so both parts resume at c.
     """
-    m = ctx.m
     if poly_degree(f) == d:
         return [f]
-    while c < (poly_degree(f) - 1) * m:
-        i, s = divmod(c, m)
+    for c in range(start, (poly_degree(f) - 1) * ctx.m):
+        i, s = divmod(c, ctx.m)
         a = tr = (0,) * (i + 1) + (1 << s,)
-        for _ in range(m * d - 1):
+        for _ in range(ctx.m * d - 1):
             a = poly_mulmod(ctx, a, a, f)
             tr = poly_add(tr, a)
         g = poly_gcd(ctx, f, tr)
         if 0 < poly_degree(g) < poly_degree(f):
             return (_split(ctx, g, d, c)
                     + _split(ctx, poly_divmod(ctx, f, g)[0], d, c))
-        c += 1
     raise AssertionError("a product of distinct irreducibles did not split")
 
 

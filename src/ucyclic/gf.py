@@ -215,23 +215,18 @@ class FieldCtx:
         log = [0] * self.order
         for i, v in enumerate(exp):
             log[v] = i
-        self._exp = exp
+        self._exp = exp + exp   # any sum of two logs indexes it unreduced
         self._log = log
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        s = self._log[a] + self._log[b]
-        q1 = self.order - 1
-        if s >= q1:
-            s -= q1
-        return self._exp[s]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        q1 = self.order - 1
-        return self._exp[(q1 - self._log[a]) % q1]
+        return self._exp[self.order - 1 - self._log[a]]
 
     def __eq__(self, other):
         return (isinstance(other, FieldCtx)

@@ -6,9 +6,9 @@ import pytest
 from ucyclic.errors import TooLarge
 from ucyclic.gf import (MAX_M, FieldCtx, P_ONE, P_ZERO, _factorint,
                         default_modulus, f2x_degree, f2x_is_irreducible,
-                        f2x_mul, find_primitive, poly_add, poly_degree,
-                        poly_divmod, poly_ext_gcd, poly_from_key, poly_gcd,
-                        poly_key, poly_mod, poly_monic, poly_mul,
+                        f2x_mul, f2x_mulmod, find_primitive, poly_add,
+                        poly_degree, poly_divmod, poly_ext_gcd, poly_from_key,
+                        poly_gcd, poly_key, poly_mod, poly_monic, poly_mul,
                         poly_mulmod, poly_powmod, poly_trim, reciprocal)
 
 
@@ -53,6 +53,14 @@ def test_field_inverses(m):
     # Frobenius fixed field: a^2 = a iff a in {0, 1}
     frob_fixed = [a for a in range(ctx.order) if ctx.mul(a, a) == a]
     assert frob_fixed == [0, 1]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_field_mul_is_the_product_mod_the_modulus(m):
+    ctx = FieldCtx(m)
+    for a in range(ctx.order):
+        for b in range(ctx.order):
+            assert ctx.mul(a, b) == f2x_mulmod(a, b, ctx.modulus), (a, b)
 
 
 def test_gf16_power_table():
