@@ -158,9 +158,15 @@ def _stream_codes(fd: FactorData, k: int, lists: list[list],
 
     Each list entry is encoded once, as the JSON text of its component; a
     line joins one fragment per component in component order, so it holds
-    the bytes ``_emit(format_code(code))`` writes for the same code.
+    the bytes ``_emit(format_code(code))`` writes for the same code.  The
+    first ``limit`` lines reach only the first ceil(limit / P) entries of a
+    list, P the product of the later lists' lengths, so only those are
+    encoded.
     """
     lam = fd.num_selfrec
+    if limit is not None:
+        lists = [lst[:-(-limit // max(1, math.prod(map(len, lists[i + 1:]))))]
+                 for i, lst in enumerate(lists)]
 
     def fragment(j, label):
         return _encode({"j": j} | format_label(fd.ctx, label))

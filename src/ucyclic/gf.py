@@ -17,8 +17,6 @@ this key.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import count
-from math import gcd
 
 from .errors import TooLarge
 
@@ -115,67 +113,21 @@ def default_modulus(m: int) -> int:
     raise AssertionError("unreachable: an irreducible of each degree exists")
 
 
-# Miller-Rabin on these bases is exact below 3317044064679887385961981
-# (~3.3e24, the least composite that passes all 13); above it a pass means
-# probably prime.  The values factored here are 2^(m*d) - 1 and small
-# degrees, so this is exact up to m*d = 81.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_TRIAL_LIMIT = 1000
-
-
-def _is_prime(nval: int) -> bool:
-    """Miller-Rabin on the bases 2..41, for nval with no factor below 1000."""
-    d, s = nval - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, nval)
-        if x in (1, nval - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % nval
-            if x == nval - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho(nval: int) -> int:
-    """A proper factor of the composite nval (Pollard's rho, Floyd cycles)."""
-    for c in count(1):
-        x = y = 2
-        g = 1
-        while g == 1:
-            x = (x * x + c) % nval
-            y = (y * y + c) % nval
-            y = (y * y + c) % nval
-            g = gcd(x - y, nval)
-        if g != nval:
-            return g
-
-
 @lru_cache(maxsize=None)
 def _factorint(nval: int) -> tuple[int, ...]:
-    """Distinct prime factors of nval >= 1, ascending: trial division below
-    1000, then Pollard's rho on what is left."""
-    primes, rest = set(), nval
-    for p in range(2, _TRIAL_LIMIT):
-        if p * p > rest:
-            break
-        if rest % p == 0:
-            primes.add(p)
-            while rest % p == 0:
-                rest //= p
-    stack = [rest] if rest > 1 else []
-    while stack:
-        v = stack.pop()
-        if v < _TRIAL_LIMIT ** 2 or _is_prime(v):
-            primes.add(v)
-        else:
-            f = _rho(v)
-            stack += [f, v // f]
-    return tuple(sorted(primes))
+    """Distinct prime factors of nval >= 1, ascending, by trial division.
+
+    The package factors only small degrees and 2^e - 1 for field orders
+    2^e with e <= 24, so the divisors tried stay below 2^12.
+    """
+    primes, p = [], 2
+    while p * p <= nval:
+        if nval % p == 0:
+            primes.append(p)
+            while nval % p == 0:
+                nval //= p
+        p += 1
+    return tuple(primes + [nval] if nval > 1 else primes)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +193,8 @@ class FieldCtx:
 
 def find_generator(m: int, modulus: int) -> int:
     """Smallest int generating the multiplicative group of F_2[y]/(modulus),
-    for an irreducible modulus of degree m (no cap on m)."""
+    for an irreducible modulus of degree m (not capped at MAX_M, but
+    2^m - 1 is factored by trial division)."""
     q1 = (1 << m) - 1
     if q1 == 1:
         return 1
@@ -397,19 +350,3 @@ def poly_from_key(ctx: FieldCtx, key: int) -> Poly:
         key >>= ctx.m
     return tuple(cs)
 
-
-def find_primitive(ctx: FieldCtx, f: Poly) -> Poly:
-    """First (in canonical key order) primitive element of F_{2^m}[x]/(f).
-
-    f must be irreducible over F_{2^m}; the result generates the cyclic group
-    of the 2^(m*deg f) - 1 units.
-    """
-    d = poly_degree(f)
-    q1 = (1 << (ctx.m * d)) - 1
-    primes = _factorint(q1)
-    exps = [q1 // p for p in primes]
-    for key in range(1, 1 << (ctx.m * d)):
-        cand = poly_from_key(ctx, key)
-        if all(poly_powmod(ctx, cand, e, f) != P_ONE for e in exps):
-            return cand
-    raise ValueError("no primitive element found (is f irreducible?)")

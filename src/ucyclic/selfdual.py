@@ -25,11 +25,12 @@ from dataclasses import dataclass, field
 from . import quotient as qt
 from .cyclotomic import FactorData, factor_data, factor_degrees
 from .errors import BadDescriptor, UnsupportedK
-from .gf import (P_ONE, P_X, P_ZERO, Poly, find_primitive, poly_key,
-                 poly_mulmod)
+from .gf import (P_ZERO, Poly, poly_add, poly_from_key, poly_key, poly_mulmod,
+                 poly_scale)
 from .ideals import (IdealLabel, canonical_label, count_ideals,
                      enumerate_ideals, exponents, ideal_generators,
                      ideal_size_log2, validate_label)
+from .oracle import span_words
 
 __all__ = [
     "CyclicCode", "ThetaSet", "theta_set", "mate_label", "is_self_dual",
@@ -117,30 +118,24 @@ class ThetaSet:
 def theta_level_one(fd: FactorData, j: int) -> tuple[Poly, ...]:
     """The length-1 Theta set of a self-reciprocal component, sorted by key.
 
-    For component 0 (factor x-1) that is every nonzero scalar.  Otherwise
-    f_j has even degree d and the set is x^(-d/2) times the subgroup of
-    index sqrt(q)+1 in F_j^*, i.e. x^(-d/2) * F_sqrt(q)^*, walked by a
-    power of a primitive element (the set does not depend on which).
+    With d = deg f_j, h = d // 2 and q = 2^(m d), the set is
+    x^(-h) * F_sqrt(q)^*.  For d > 1 the one involution of
+    Gal(F_j / F_{2^m}), a -> a^sqrt(q), sends the root x to x^(-1), so it is
+    the hat map a(x) -> a(x^(-1)) and its fixed field F_sqrt(q) is spanned
+    over F_{2^m} by 1 and the x^i + x^(-i), 0 < i < h.  Times x^(-h) that
+    is the span of x^(-h) and the x^(-(h-i)) + x^(-(h+i)), entries and sums
+    of entries of ``fd.hat_basis(j)``; taken over F_2 with the y^s
+    multiples it is every member and 0.  For component 0 (d = 1, h = 0) the
+    span of 1 gives every nonzero scalar.
     """
     if not 0 <= j < fd.num_selfrec:
         raise ValueError(f"component {j} is not self-reciprocal")
-    ctx = fd.ctx
-    if j == 0:
-        return tuple((c,) for c in range(1, 1 << ctx.m))
-    d = fd.degree(j)
-    assert d % 2 == 0, "self-reciprocal factor of degree >= 2 has even degree"
-    ring = qt.field_ring(fd, j)
-    sq = 1 << (d * ctx.m // 2)
-    rho = find_primitive(ctx, fd.factors[j])
-    base = ring.pow(P_X, fd.n - d // 2)          # x^(-d/2) since x^n = 1
-    step = ring.pow(rho, sq + 1)
-    out = []
-    cur = P_ONE
-    for _ in range(sq - 1):
-        out.append(ring.mul(base, cur))
-        cur = ring.mul(cur, step)
-    assert len(set(out)) == sq - 1, "primitive element did not generate"
-    return tuple(sorted(out, key=lambda p: poly_key(ctx, p)))
+    ctx, hb = fd.ctx, fd.hat_basis(j)
+    h = fd.degree(j) // 2
+    span = [hb[h]] + [poly_add(hb[h - i], hb[h + i]) for i in range(1, h)]
+    keys = span_words(poly_key(ctx, poly_scale(ctx, b, 1 << s))
+                      for b in span for s in range(ctx.m))
+    return tuple(poly_from_key(ctx, key) for key in sorted(keys)[1:])
 
 
 def theta_set(fd: FactorData, j: int, s: int) -> ThetaSet:

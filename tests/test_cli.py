@@ -601,9 +601,24 @@ def test_stream_lines_are_json_dumps_of_format_code(argv, codes):
             for c in codes()]
     rc, out, err = call(argv)
     assert (rc, err) == (0, "") and out.splitlines(keepends=True) == want
-    for limit in (0, 1, 7):
+    # len // 2 + 1 cuts the first list with more than two entries short
+    for limit in (0, 1, 7, len(want) // 2 + 1):
         rc, out, err = call(argv + ["--limit", str(limit)])
         assert (rc, err) == (0, "") and out == "".join(want[:limit])
+
+
+def test_limited_stream_encodes_only_what_it_prints(monkeypatch):
+    labels, format_label = [], cli.format_label
+
+    def counting(ctx, label):
+        labels.append(label)
+        return format_label(ctx, label)
+    monkeypatch.setattr(cli, "format_label", counting)
+    rc, out, err = call(["enum-selfdual", "--n", "3", "--m", "4", "--k", "2",
+                         "--limit", "1"])
+    assert (rc, err, len(out.splitlines())) == (0, "", 1)
+    # one fragment per component: the first entry of every list
+    assert 0 < len(labels) <= sd.factor_data(3, 4).r
 
 
 def _factor_calls(monkeypatch) -> list:

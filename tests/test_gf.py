@@ -6,7 +6,7 @@ import pytest
 from ucyclic.errors import TooLarge
 from ucyclic.gf import (MAX_M, FieldCtx, P_ONE, P_ZERO, _factorint,
                         default_modulus, f2x_degree, f2x_is_irreducible,
-                        f2x_mul, f2x_mulmod, find_primitive, poly_add,
+                        f2x_mul, f2x_mulmod, poly_add,
                         poly_degree, poly_divmod, poly_ext_gcd, poly_from_key,
                         poly_gcd, poly_key, poly_mod, poly_monic, poly_mul,
                         poly_mulmod, poly_powmod, poly_trim, reciprocal)
@@ -140,18 +140,6 @@ def test_reciprocal_and_monic():
     assert poly_monic(ctx, mon) == mon
 
 
-def test_find_primitive_order():
-    ctx = FieldCtx(1)
-    f = (1, 1, 0, 1)
-    g = find_primitive(ctx, f)
-    seen = set()
-    p = P_ONE
-    for _ in range(7):
-        p = poly_mulmod(ctx, p, g, f)
-        seen.add(p)
-    assert len(seen) == 7 and P_ONE in seen
-
-
 def _trial_primes(n):
     out, p = [], 2
     while p * p <= n:
@@ -169,14 +157,3 @@ def test_factorint_small_values():
     # squares and products of primes just above the trial-division bound
     for n in (1009 ** 2, 1009 * 1013, 1009 ** 3 * 1013, 999983 * 1000003):
         assert _factorint(n) == tuple(_trial_primes(n)), n
-
-
-@pytest.mark.parametrize("e,primes", [
-    (36, (3, 5, 7, 13, 19, 37, 73, 109)),
-    (61, ((1 << 61) - 1,)),                 # a Mersenne prime
-    (67, (193707721, 761838257287)),
-    (82, (3, 83, 13367, 164511353, 8831418697)),
-    (89, ((1 << 89) - 1,)),                 # beyond the exact MR range
-])
-def test_factorint_mersenne(e, primes):
-    assert _factorint((1 << e) - 1) == primes

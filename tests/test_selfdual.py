@@ -11,15 +11,17 @@ from ucyclic import duality as du
 from ucyclic import quotient as qt
 from ucyclic.cyclotomic import factor_degrees
 from ucyclic.errors import BadDescriptor, UnsupportedK
-from ucyclic.gf import P_ZERO, poly_key, poly_mulmod
+from ucyclic.gf import (P_ONE, P_X, P_ZERO, f2x_is_irreducible, poly_gcd,
+                        poly_key, poly_mulmod, poly_scale)
 from ucyclic.ideals import ideal_generators
 from ucyclic.ideals import IdealLabel, enumerate_ideals, validate_label
-from ucyclic.oracle import brute_is_selfdual, span_code
+from ucyclic.oracle import (brute_is_selfdual, span_code,
+                            theta_congruence_filter)
 from ucyclic.selfdual import (CyclicCode, _derive_mate_label, _mate_label,
                               count_cyclic, count_selfdual, enumerate_cyclic,
                               enumerate_selfdual, family_60_30_8,
-                              is_self_dual, mate_label, theta_set,
-                              to_ambient_generators)
+                              is_self_dual, mate_label, theta_level_one,
+                              theta_set, to_ambient_generators)
 
 
 def _polyset(ctx, ts):
@@ -62,6 +64,49 @@ def test_theta_members_satisfy_fixed_point(fdata):
         fd = fdata(n, m)
         for w in theta_set(fd, j, s):
             assert qt.omega_prime(fd, j, w) == w
+
+
+def _extreme_moduli(m):
+    """The smallest and the largest irreducible of degree m with constant
+    term 1 (one modulus when they coincide)."""
+    irreducible = [a for a in range((1 << m) | 1, 1 << (m + 1), 2)
+                   if f2x_is_irreducible(a)]
+    return sorted({irreducible[0], irreducible[-1]})
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_theta_equals_congruence_filter_every_odd_n(fdata, m):
+    # every self-reciprocal j >= 1 of every odd n <= 49, under both extreme
+    # moduli, wherever the unit group filtered has at most 2^12 elements
+    cases = 0
+    for modulus in _extreme_moduli(m):
+        for n in range(1, 50, 2):
+            fd = fdata(n, m, modulus)
+            for j in range(1, fd.num_selfrec):
+                for s in range(1, 12 // (fd.degree(j) * m) + 1):
+                    assert sorted(theta_congruence_filter(fd, j, s)) == \
+                        sorted(theta_set(fd, j, s).members), (n, modulus, j, s)
+                    cases += 1
+    assert cases
+
+
+# (n, m, j) with d_j * m > 24, where the congruence filter refuses
+@pytest.mark.parametrize("n, m, j", [(3, 13, 1), (5, 7, 1), (9, 5, 2)])
+def test_theta_level_one_beyond_the_filter(fdata, n, m, j):
+    fd = fdata(n, m)
+    d, f = fd.degree(j), fd.factors[j]
+    assert d * m > 24
+    ring = qt.field_ring(fd, j)
+    xfac = ring.pow(P_X, 2 * n - d)                  # x^(-d) mod f_j
+    members = theta_level_one(fd, j)
+    # the solutions of the congruence and 0 form an F_{2^m}-subspace of
+    # size sqrt(q) (x^(-d/2) times the fixed field of the hat involution),
+    # so sqrt(q) - 1 distinct nonzero solutions are all of them
+    assert len(set(members)) == len(members) == (1 << (d * m // 2)) - 1
+    for w in members:
+        assert len(w) <= d and poly_gcd(fd.ctx, w, f) == P_ONE
+        assert poly_scale(fd.ctx, ring.mul(xfac, qt.hat(fd, j, w)),
+                          fd.delta[j]) == w
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
