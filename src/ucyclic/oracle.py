@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import quotient as qt
 from .errors import TooLarge
@@ -32,24 +32,30 @@ WORDS_CAP_LOG2 = 20
 # F_2 linear algebra on bit-rows
 # ---------------------------------------------------------------------------
 
+def _reduce(piv: dict[int, int], v: int) -> int:
+    """v less the rows of ``piv`` (leading bit -> row) at its leading bit,
+    until that bit is no pivot: 0 iff v lies in the span of the rows."""
+    while v:
+        row = piv.get(v.bit_length() - 1)
+        if row is None:
+            break
+        v ^= row
+    return v
+
+
 def rref_bits(rows, ncols: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
-    Rows must lie below bit ``ncols``.  Each row is reduced into a map from
-    leading bit to pivot row, then one pass upward from the lowest pivot
-    clears every pivot bit off the rows above it.  Rows and pivots come out
-    sorted descending.
+    Rows must lie below bit ``ncols``.  Each row is reduced (:func:`_reduce`)
+    into a map from leading bit to pivot row, then one pass upward from the
+    lowest pivot clears every pivot bit off the rows above it.  Rows and
+    pivots come out sorted descending.
     """
     piv: dict[int, int] = {}
     for r in rows:
-        v = int(r)
-        while v:
-            top = v.bit_length() - 1
-            row = piv.get(top)
-            if row is None:
-                piv[top] = v
-                break
-            v ^= row
+        v = _reduce(piv, int(r))
+        if v:
+            piv[v.bit_length() - 1] = v
     below = 0                                    # pivot bits already reduced
     for p in sorted(piv):
         row = piv[p]
@@ -80,35 +86,46 @@ def nullspace_bits(rows, ncols: int) -> list[int]:
     return basis
 
 
-def apply_map(images, v: int) -> int:
-    """Image of v under the F_2-linear map with per-bit images ``images``."""
+def tabulate_map(images) -> tuple[tuple[int, ...], ...]:
+    """Byte tables of the F_2-linear map with per-bit images ``images``:
+    table i holds the image of every value of bits 8i .. 8i+7."""
+    tables = []
+    for lo in range(0, len(images), 8):
+        chunk = images[lo:lo + 8]
+        table = [0] * (1 << len(chunk))
+        for v in range(1, len(table)):
+            low = v & -v
+            table[v] = table[v ^ low] ^ chunk[low.bit_length() - 1]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def apply_map(tables, v: int) -> int:
+    """Image of v under a linear map, one table lookup per byte of v."""
     out = 0
-    while v:
-        low = v & -v
-        out ^= images[low.bit_length() - 1]
-        v ^= low
+    for table in tables:
+        if not v:
+            break
+        out ^= table[v & 0xFF]
+        v >>= 8
     return out
 
 
 def map_closure(gens, maps) -> list[int]:
     """XOR basis of the smallest F_2 subspace holding gens and closed under
-    every map in ``maps`` (per-bit image tuples, see :func:`apply_map`).
+    every map in ``maps`` (byte tables, see :func:`tabulate_map`).
 
-    Rows have distinct leading bits and are kept sorted descending; the
+    Rows have distinct leading bits and come out sorted descending; the
     basis is not reduced (pass it through :func:`rref_bits` for that).
     """
-    basis: list[int] = []
+    piv: dict[int, int] = {}
     pending = [int(g) for g in gens]
     while pending:
-        v = pending.pop()
-        for row in basis:
-            v = min(v, v ^ row)
-        if not v:
-            continue
-        basis.append(v)
-        basis.sort(reverse=True)
-        pending.extend(apply_map(images, v) for images in maps)
-    return basis
+        v = _reduce(piv, pending.pop())
+        if v:
+            piv[v.bit_length() - 1] = v
+            pending.extend(apply_map(tables, v) for tables in maps)
+    return sorted(piv.values(), reverse=True)
 
 
 def span_words(basis) -> frozenset[int]:
@@ -139,10 +156,12 @@ class DenseCode:
     def size_log2(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _pivots(self) -> dict[int, int]:
+        return {row.bit_length() - 1: row for row in self.basis}
+
     def contains(self, v: int) -> bool:
-        for row in self.basis:
-            v = min(v, v ^ row)
-        return v == 0
+        return not _reduce(self._pivots, v)
 
     def issubset(self, other: DenseCode) -> bool:
         return all(other.contains(r) for r in self.basis)
@@ -167,9 +186,9 @@ def _canon(rows, nbits: int) -> tuple[int, ...]:
 def ambient_maps(n: int, m: int, k: int, modulus: int | None = None):
     """(nbits, monomial maps, invertible monomial maps) for R^(2n).
 
-    Maps are tuples of per-bit images: multiply-by-x (cyclic coordinate
-    shift), multiply-by-u (slot shift, not invertible), and for m > 1
-    multiply by the field generator y.
+    Maps are byte tables (:func:`tabulate_map`): multiply-by-x (cyclic
+    coordinate shift), multiply-by-u (slot shift, not invertible), and for
+    m > 1 multiply by the field generator y.
     """
     ctx = FieldCtx(m, modulus)
     length = 2 * n
@@ -193,12 +212,8 @@ def ambient_maps(n: int, m: int, k: int, modulus: int | None = None):
                     if (img >> bb) & 1:
                         acc |= 1 << bit(c, l, bb)
                 ymap[bit(c, l, b)] = acc
-    maps = [tuple(xmap), tuple(umap)]
-    invertible = [tuple(xmap)]
-    if m > 1:
-        maps.append(tuple(ymap))
-        invertible.append(tuple(ymap))
-    return nbits, tuple(maps), tuple(invertible)
+    maps = tuple(map(tabulate_map, [xmap, umap] + ([ymap] if m > 1 else [])))
+    return nbits, maps, maps[::2]               # x and y invert, u does not
 
 
 def span_code(n: int, m: int, k: int, gens, modulus: int | None = None) -> DenseCode:
@@ -226,19 +241,25 @@ def _r_mul(ctx: FieldCtx, k: int, a: int, b: int) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
+def _symbol_blocks(m: int, modulus: int | None, k: int):
+    """The field, and a dict symbol -> one bit block per output bit that
+    ``brute_dual`` fills as symbols turn up: one per (m, modulus, k)."""
+    return FieldCtx(m, modulus), {}
+
+
 def brute_dual(code: DenseCode, modulus: int | None = None) -> DenseCode:
     """Euclidean dual, via the F_2 linear system <b, v> = 0 in R.
 
     Bit j of v lies in coordinate c = j // (k*m) at position t = j % (k*m),
     so <b, e_j> = b_c * e_t: the constraint rows of b are assembled one
     coordinate at a time from the products of the symbol b_c with the k*m
-    unit symbols, computed once per distinct nonzero symbol value.
+    unit symbols, computed once per nonzero symbol value, field and k.
     """
-    ctx = FieldCtx(code.m, modulus)
     k = code.k
     step = k * code.m
     mask = (1 << step) - 1
-    blocks: dict[int, list[int]] = {}   # symbol -> one bit block per output bit
+    ctx, blocks = _symbol_blocks(code.m, modulus, k)
     rows = []
     for b in code.basis:
         acc = [0] * step                 # functional v -> bit o of <b, v>
@@ -291,7 +312,8 @@ def _all_ideals_generic(nbits: int, maps, invertible) -> list[tuple[int, ...]]:
     single-generator closures are produced, and the pairwise-sum pass closes
     the collection (each unordered pair once, so the order of the list is
     the order of discovery); vectors are deduplicated by their orbit under
-    the invertible maps first (same closure).
+    the invertible maps first (same closure).  A sum of two ideals is an
+    ideal, so the pass only reduces the joined bases.
     """
     if nbits > AMBIENT_CAP_LOG2:
         raise TooLarge(f"ambient space has 2^{nbits} elements")
@@ -320,7 +342,7 @@ def _all_ideals_generic(nbits: int, maps, invertible) -> list[tuple[int, ...]]:
     pool = list(found)
     for i, a in enumerate(pool):                # pool grows as it is walked
         for b in pool[:i]:
-            s = _canon(map_closure(a + b, maps), nbits)
+            s = _canon(a + b, nbits)
             if s not in found:
                 found[s] = None
                 pool.append(s)
@@ -353,23 +375,22 @@ def unpack_uelem(fd, j: int, k: int, packed: int) -> qt.UElem:
 
 
 def _component_monomial_maps(fd, j: int, k: int):
-    """Linear maps (mult by x, by u, by the field generator) on packed bits."""
-    ring = qt.chain_ring(fd, j)
+    """Linear maps (mult by x, by u, by the field generator) on packed bits,
+    as byte tables, built once per (fd, j, k)."""
     nbits = 2 * fd.degree(j) * fd.m * k
-    maps = []
 
     def tabulate(fn):
-        images = []
-        for b in range(nbits):
-            e = unpack_uelem(fd, j, k, 1 << b)
-            images.append(pack_uelem(fd, j, k, fn(e)))
-        return tuple(images)
+        return tabulate_map([pack_uelem(fd, j, k, fn(unpack_uelem(
+            fd, j, k, 1 << b))) for b in range(nbits)])
 
-    maps.append(tabulate(lambda e: tuple(ring.mul(c, (0, 1)) for c in e)))
-    maps.append(tabulate(lambda e: (P_ZERO,) + e[:-1]))
-    if fd.m > 1:
-        maps.append(tabulate(lambda e: tuple(ring.mul(c, (2,)) for c in e)))
-    return nbits, maps
+    def derive():
+        ring = qt.chain_ring(fd, j)
+        maps = [tabulate(lambda e: tuple(ring.mul(c, (0, 1)) for c in e)),
+                tabulate(lambda e: (P_ZERO,) + e[:-1])]
+        if fd.m > 1:
+            maps.append(tabulate(lambda e: tuple(ring.mul(c, (2,)) for c in e)))
+        return nbits, tuple(maps)
+    return fd._once(f"monomial_maps_{k}", j, derive)
 
 
 def ideal_members(fd, j: int, k: int, gens) -> frozenset[int]:
@@ -400,8 +421,8 @@ def theta_congruence_filter(fd, j: int, s: int):
     independent of the closed-form construction in :mod:`ucyclic.selfdual`.
     The substitution acts on each u-coefficient on its own, so it is applied
     literally once per field element a of F_j (a + delta_j x^(2n-d_j) a(x^(-1))
-    computed and compared with 0); then every unit (a_0, ..., a_(s-1)) is
-    walked in counter order, a_0 fastest, and kept iff every slot passed.
+    computed and compared with 0); then the units (a_0, ..., a_(s-1)) whose
+    every slot passed are walked in key order, a_0 fastest.
     Only meaningful on self-reciprocal components.
     """
     if not 0 <= j < fd.num_selfrec:
@@ -412,12 +433,7 @@ def theta_congruence_filter(fd, j: int, s: int):
     ring = qt.field_ring(fd, j)
     xfac = ring.pow((0, 1), 2 * fd.n - d)       # x^(2n-d) reduced mod f_j
     delta = fd.delta[j]
-    good = [not poly_add(a, poly_scale(fd.ctx, ring.mul(xfac, qt.hat(fd, j, a)),
-                                       delta))
-            for a in ring.elements()]
-    out = []
-    for digits in itertools.product(range(ring.size()), repeat=s):
-        w = digits[::-1]                         # a_0 varies fastest
-        if w[0] and all(good[a] for a in w):
-            out.append(tuple(poly_from_key(fd.ctx, a) for a in w))
-    return out
+    slots = [a for a in ring.elements() if not poly_add(
+        a, poly_scale(fd.ctx, ring.mul(xfac, qt.hat(fd, j, a)), delta))]
+    units = [a for a in slots if a]
+    return [w[::-1] for w in itertools.product(*[slots] * (s - 1), units)]

@@ -27,7 +27,14 @@ routes the tests hold it to:
 * ``factor_by_splitting_field`` factors x^n - 1 from the roots of unity in
   the splitting field F_{2^(m*t)}, one cyclotomic coset per factor, and
   orders the factors by its own loop, where ``factor_xn_minus_1`` splits
-  over F_{2^m} itself.
+  over F_{2^m} itself;
+* ``apply_map_per_bit`` and ``map_closure_by_min`` apply a linear map one
+  set bit at a time and close a span by reducing each vector against the
+  whole sorted basis, where ``oracle.apply_map`` looks up one byte table
+  per 8 bits and ``oracle.map_closure`` reduces through a pivot map;
+* ``theta_congruence_filter_full_walk`` walks all q^s digit tuples of
+  F_j[u]/(u^s) and keeps those whose every slot passes the congruence,
+  where ``oracle.theta_congruence_filter`` walks the passing slots only.
 """
 from __future__ import annotations
 
@@ -38,8 +45,9 @@ from ucyclic.cyclotomic import FactorData, cyclotomic_cosets, factor_xn_minus_1
 from ucyclic.errors import UnsupportedK
 from ucyclic.gf import (P_ONE, P_ZERO, FieldCtx, Poly, default_modulus,
                         f2x_is_irreducible, f2x_mulmod, f2x_powmod,
-                        find_generator, poly_add, poly_degree, poly_key,
-                        poly_monic, poly_mulmod, reciprocal)
+                        find_generator, poly_add, poly_degree,
+                        poly_from_key, poly_key, poly_monic, poly_mulmod,
+                        poly_scale, reciprocal)
 from ucyclic.gray import lee_weight, unpack_ambient
 from ucyclic.ideals import IdealLabel
 from ucyclic.oracle import span_code
@@ -608,3 +616,54 @@ def factor_by_splitting_field(n: int, m: int,
     return FactorData(n=n, m=m, ctx=ctx, factors=factors,
                       num_selfrec=1 + len(selfrec), num_pairs=len(reps),
                       delta=tuple(reciprocal(f)[-1] for f in factors))
+
+
+# ---------------------------------------------------------------------------
+# the oracle's F_2 core, one bit and one basis row at a time
+# ---------------------------------------------------------------------------
+
+def apply_map_per_bit(images, v: int) -> int:
+    """Image of v under the F_2-linear map with per-bit images ``images``."""
+    out = 0
+    while v:
+        low = v & -v
+        out ^= images[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
+def map_closure_by_min(gens, maps) -> list[int]:
+    """XOR basis, distinct leading bits, sorted descending, of the smallest
+    F_2 subspace holding gens and closed under every map in ``maps``
+    (per-bit image tuples): each vector is reduced by ``min(v, v ^ row)``
+    against every basis row."""
+    basis: list[int] = []
+    pending = [int(g) for g in gens]
+    while pending:
+        v = pending.pop()
+        for row in basis:
+            v = min(v, v ^ row)
+        if not v:
+            continue
+        basis.append(v)
+        basis.sort(reverse=True)
+        pending.extend(apply_map_per_bit(images, v) for images in maps)
+    return basis
+
+
+def theta_congruence_filter_full_walk(fd, j: int, s: int):
+    """``oracle.theta_congruence_filter`` by walking every digit tuple
+    (a_0, ..., a_(s-1)) of F_j[u]/(u^s) in counter order, a_0 fastest, and
+    keeping the units whose every slot passes the congruence."""
+    ring = qt.field_ring(fd, j)
+    xfac = ring.pow((0, 1), 2 * fd.n - fd.degree(j))
+    delta = fd.delta[j]
+    good = [not poly_add(a, poly_scale(fd.ctx, ring.mul(xfac, qt.hat(fd, j, a)),
+                                       delta))
+            for a in ring.elements()]
+    out = []
+    for digits in itertools.product(range(ring.size()), repeat=s):
+        w = digits[::-1]
+        if w[0] and all(good[a] for a in w):
+            out.append(tuple(poly_from_key(fd.ctx, a) for a in w))
+    return out

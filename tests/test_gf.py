@@ -154,6 +154,6 @@ def _trial_primes(n):
 def test_factorint_small_values():
     for n in range(1, 5000):
         assert _factorint(n) == tuple(_trial_primes(n)), n
-    # squares and products of primes just above the trial-division bound
+    # squares, cubes and products of primes above 1000, up to 10^12
     for n in (1009 ** 2, 1009 * 1013, 1009 ** 3 * 1013, 999983 * 1000003):
         assert _factorint(n) == tuple(_trial_primes(n)), n

@@ -5,18 +5,22 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from literal_oracles import (apply_map_per_bit, map_closure_by_min,
+                             theta_congruence_filter_full_walk)
 
 from ucyclic import quotient as qt
 from ucyclic.errors import TooLarge
 from ucyclic.gf import FieldCtx, poly_add, poly_scale
 from ucyclic.ideals import count_ideals
 from ucyclic.oracle import (AMBIENT_CAP_LOG2, DenseCode, _canon, _r_mul,
-                            ambient_maps, brute_all_ideals,
+                            ambient_maps, apply_map, brute_all_ideals,
                             brute_component_ideals, brute_dual,
                             brute_intersect, brute_is_selfdual,
                             brute_is_selforthogonal, map_closure,
                             nullspace_bits, rref_bits, span_code, span_words,
-                            theta_congruence_filter)
+                            tabulate_map, theta_congruence_filter)
 from ucyclic.selfdual import count_selfdual, theta_set
 
 
@@ -61,11 +65,11 @@ def _word_closure(gens, maps, nbits):
         fresh = {w ^ x for x in words}
         words |= fresh
         for v in fresh:
-            for images in maps:
+            for tables in maps:         # bit b's image: one entry of its byte
                 img = 0
                 for b in range(nbits):
                     if (v >> b) & 1:
-                        img ^= images[b]
+                        img ^= tables[b >> 3][1 << (b & 7)]
                 queue.append(img)
     return words
 
@@ -91,6 +95,37 @@ def test_map_closure_matches_word_bfs(n, m, k, modulus):
         assert span_code(n, m, k, gens, modulus).words() == want
         sizes.add(len(want))
     assert len(sizes) > 1
+
+
+@st.composite
+def _maps_and_vectors(draw):
+    """1..40 bits, one to three linear maps as per-bit images (zero, one bit
+    or any vector, so some spans stay proper), and a few vectors."""
+    nbits = draw(st.integers(1, 40))
+    vec = st.integers(0, (1 << nbits) - 1)
+    image = st.one_of(st.just(0), st.builds(lambda b: 1 << b,
+                                            st.integers(0, nbits - 1)), vec)
+    maps = draw(st.lists(st.lists(image, min_size=nbits, max_size=nbits),
+                         min_size=1, max_size=3))
+    return nbits, maps, draw(st.lists(vec, min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_maps_and_vectors())
+def test_tabled_core_matches_per_bit_core(drawn):
+    """Byte tables apply a map as its per-bit images do, at every width, and
+    the pivot closure spans what the min-reduction closure spans, with
+    distinct leading bits, sorted descending."""
+    nbits, maps, vectors = drawn
+    tabled = [tabulate_map(images) for images in maps]
+    for images, tables in zip(maps, tabled):
+        for v in vectors:
+            assert apply_map(tables, v) == apply_map_per_bit(images, v)
+    basis = map_closure(vectors, tabled)
+    assert _canon(basis, nbits) == _canon(map_closure_by_min(vectors, maps),
+                                          nbits)
+    assert len(basis) == len({r.bit_length() for r in basis})
+    assert basis == sorted(basis, reverse=True)
 
 
 def test_brute_dual_hand_checked():
@@ -182,12 +217,13 @@ def _theta_whole_units(fd, j, s):
     return out
 
 
-# the (n, m) of test_10_theta_set_exactness, plus m = 3 under y^3 + y^2 + 1
-@pytest.mark.parametrize("n,m,modulus", [(3, 1, None), (5, 1, None),
-                                         (7, 1, None), (9, 1, None),
-                                         (15, 1, None), (1, 2, None),
-                                         (5, 2, None), (3, 3, None),
-                                         (3, 3, 0xd)])
+# the (n, m) of test_10_theta_set_exactness
+THETA_NM = [(3, 1), (5, 1), (7, 1), (9, 1), (15, 1), (1, 2), (5, 2), (3, 3)]
+
+
+# plus m = 3 under y^3 + y^2 + 1
+@pytest.mark.parametrize("n,m,modulus", [(n, m, None) for n, m in THETA_NM]
+                         + [(3, 3, 0xd)])
 def test_theta_congruence_matches_whole_unit_loop(fdata, n, m, modulus):
     fd = fdata(n, m, modulus)
     cases = 0
@@ -198,6 +234,18 @@ def test_theta_congruence_matches_whole_unit_loop(fdata, n, m, modulus):
                     _theta_whole_units(fd, j, s)
                 cases += 1
     assert cases
+
+
+@pytest.mark.parametrize("n,m", THETA_NM)
+def test_theta_congruence_matches_full_walk(fdata, n, m):
+    """The walk over passing slots lists what the walk over all digit
+    tuples lists, in the same order, on test_10's every (j, s)."""
+    fd = fdata(n, m)
+    for j in range(1, fd.num_selfrec):
+        for s in (1, 2, 3, 4):
+            if fd.degree(j) * m * s <= 16:
+                assert theta_congruence_filter(fd, j, s) == \
+                    theta_congruence_filter_full_walk(fd, j, s)
 
 
 def _inner(ctx, n, k, v, w):
