@@ -408,12 +408,16 @@ def _hull_ok(code: sd.CyclicCode) -> bool:
 def _gray_ok(code: sd.CyclicCode) -> bool:
     """The Gray matrix of any k = 2 code: full rank, 2-quasi-cyclic, the
     span oracle's row space, and (as phi(C^perp) = phi(C)^perp) a zero
-    Gram matrix exactly when the code is self-orthogonal."""
+    Gram matrix exactly when the code is self-orthogonal; rank and Gram
+    taken by its CRT parts equal those of the same rows unpartitioned."""
     gm = gr.generator_matrix(code)
-    return (gm.rank() == code.dim() and gr.is_2_quasi_cyclic(gm)
+    flat = gr.GenMatrix(gm.ctx, gm.n, packed=gm.packed)
+    return (gm.rank() == flat.rank() == code.dim()
+            and gr.is_2_quasi_cyclic(gm)
             and tuple(gr._rref(gm.ctx, gm.packed, gm.cols)[0])
             == gr._span_image_matrix(code).packed
-            and gr.gram_is_zero(gm) == du.is_self_orthogonal(code))
+            and gr.gram_is_zero(gm) == gr.gram_is_zero(flat)
+            == du.is_self_orthogonal(code))
 
 
 def _checks(fd: FactorData, k: int) -> list[tuple]:
@@ -460,7 +464,8 @@ def _checks(fd: FactorData, k: int) -> list[tuple]:
                                        " self-orthogonal")
         return ok_any and ok_so, (
             f"{drawn}, {selforthogonal}: rank = dim, 2-quasi-cyclic, "
-            "RREF = span oracle's, G.G^T = 0 iff self-orthogonal")
+            "RREF = span oracle's, G.G^T = 0 iff self-orthogonal, "
+            "rank and G.G^T by CRT parts = unpartitioned")
 
     def selfdual_filter():
         brute = sum(orc.brute_is_selfdual(c, mod)

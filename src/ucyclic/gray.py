@@ -21,12 +21,14 @@ enumerate only low-weight messages on information sets (Brouwer-Zimmermann,
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 from ._kernels import MAX_CENSUS_DIM, weight_census
 from .errors import DimensionTooLarge, MinDistOfTrivial, UnsupportedK
 from .cyclotomic import FactorData
-from .gf import FieldCtx, Poly, f2x_mod, poly_add, poly_key, poly_mulmod
+from .gf import FieldCtx, Poly, poly_add, poly_key, poly_mulmod
 from .ideals import exponents
 from .oracle import span_code
 from .selfdual import CyclicCode, to_ambient_generators
@@ -207,13 +209,22 @@ class GenMatrix:
     tuples on every read.  ``GenMatrix(ctx, n, rows)`` packs rows of
     symbols, each of which must lie in range(2^m); ``packed=`` takes rows
     already packed, unchecked.
+
+    ``parts`` splits the rows, in order, into groups of one row count (a
+    self-reciprocal component j) or two (j, then mate(j)), as
+    ``generator_matrix`` records them; the default is one group of every
+    row.  The checks take each count's rows, unchecked, as a CRT summand:
+    independent of the others, shift-invariant, and orthogonal to every
+    part but its mate's (eps_j eps_l^* = 0 for l != mate(j)).
     """
 
     ctx: FieldCtx = field(compare=False)
     n: int
     packed: tuple[int, ...]
+    parts: tuple[tuple[int, ...], ...] = field(compare=False)
 
-    def __init__(self, ctx: FieldCtx, n: int = 0, rows=(), packed=None):
+    def __init__(self, ctx: FieldCtx, n: int = 0, rows=(), packed=None,
+                 parts=None):
         if packed is None:
             for i, r in enumerate(rows):
                 if len(r) != 4 * n:
@@ -223,9 +234,16 @@ class GenMatrix:
                         raise ValueError(f"row {i}, column {c}: symbol {x!r}"
                                          f" is not in range({ctx.order})")
             packed = tuple(poly_key(ctx, tuple(r)) for r in rows)
+        if parts is None:
+            parts = ((len(packed),),)
+        elif (any(len(g) not in (1, 2) or min(g) < 0 for g in parts)
+              or sum(map(sum, parts)) != len(packed)):
+            raise ValueError(f"parts {parts!r} do not split {len(packed)}"
+                             " rows into groups of one or two counts")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "parts", parts)
 
     @property
     def cols(self) -> int:
@@ -236,9 +254,20 @@ class GenMatrix:
         """The rows as symbol tuples, unpacked from ``packed``."""
         return tuple(_unpack(self.ctx.m, v, self.cols) for v in self.packed)
 
+    def _groups(self) -> list[list[tuple[int, ...]]]:
+        """The packed rows of each group of ``parts``, one tuple per part."""
+        out, at = [], 0
+        for group in self.parts:
+            out.append([])
+            for count in group:
+                out[-1].append(self.packed[at:at + count])
+                at += count
+        return out
+
     def rank(self) -> int:
         low = _lane_low(self.ctx.m, self.cols)
-        return len(_echelon(self.ctx, self.packed, low))
+        return sum(len(_echelon(self.ctx, rows, low))
+                   for group in self._groups() for rows in group)
 
 
 # The blocks of one component, keyed by its label's exponents (a, b) (the
@@ -290,22 +319,31 @@ def generator_matrix(code: CyclicCode) -> GenMatrix:
     Component by component, j and then mate(j) when it differs (so a
     self-dual code gets the pair-by-pair matrix of the paper), the blocks of
     each label's (a, b) from ``_BLOCKS``, stacked; ``code.dim()`` rows in
-    total, all independent.
+    total, all independent.  ``parts`` records one group per j: the row
+    count of j, then of mate(j) when it differs.
     """
     if code.k != 2:
         raise UnsupportedK("the Gray map is defined for k=2")
     fd = code.fd
     rows: list[int] = []
+    parts = []
     for j in fd.component_indices():
+        group = []
         for at in dict.fromkeys((j, fd.mate(j))):
+            start = len(rows)
             label = code.components[at]
             for left, right in _BLOCKS[exponents(label, 2)]:
                 w = None
                 if label.omega and (left, right) == ("E", "E"):
                     right, w = "W", label.omega[0]
                 rows += _block(fd, left, right, at, w)
+            group.append(len(rows) - start)
+        parts.append(tuple(group))
     assert len(rows) == code.dim()
-    return GenMatrix(fd.ctx, fd.n, packed=tuple(rows))
+    # equal partitions share one tuple, so a matrix kept costs one reference
+    parts = tuple(parts)
+    return GenMatrix(fd.ctx, fd.n, packed=tuple(rows),
+                     parts=fd._once("gray_parts", parts, lambda: parts))
 
 
 def gray_image_matrix(code: CyclicCode) -> GenMatrix:
@@ -452,42 +490,67 @@ def min_distance(gm: GenMatrix, threads: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 def is_2_quasi_cyclic(gm: GenMatrix) -> bool:
-    """Does the simultaneous cyclic shift of both halves fix the row space?"""
+    """Does the simultaneous cyclic shift of both halves fix the row space?
+    Each shifted row is reduced against its own part's span only."""
     if gm.cols % 2:
         raise ValueError("need an even number of columns")
     m = gm.ctx.m
     hw = m * (gm.cols // 2)            # bits per half
     half = (1 << hw) - 1
     low = _lane_low(m, gm.cols)
-    basis = _echelon(gm.ctx, gm.packed, low)
 
     def shift(x: int) -> int:          # symbol i -> i + 1, the last to 0
         return ((x << m) & half) | (x >> (hw - m))
 
-    return not any(
-        _reduce(gm.ctx, shift(v & half) | (shift(v >> hw) << hw), basis, low)
-        for v in gm.packed)
+    for group in gm._groups():
+        for rows in group:
+            basis = _echelon(gm.ctx, rows, low)
+            if any(_reduce(gm.ctx, shift(v & half) | (shift(v >> hw) << hw),
+                           basis, low) for v in rows):
+                return False
+    return True
+
+
+@functools.cache
+def _coefficient_images(ctx: FieldCtx) -> tuple[tuple[int, ...], ...]:
+    """images[r][t]: the symbol whose bit s is coefficient r of y^(t + s)."""
+    return tuple(tuple(sum((ctx.mul(1 << t, 1 << s) >> r & 1) << s
+                           for s in range(ctx.m)) for t in range(ctx.m))
+                 for r in range(ctx.m))
+
+
+def _coefficient_rows(ctx: FieldCtx, rows, low: int) -> list:
+    """For r < m, the rows a_r, one per row a, with parity(a_r & b) equal to
+    coefficient r of <a, b> over F_{2^m}: lane i of a_r holds, at bit s,
+    coefficient r of a_i * y^s, an F_2-linear map of a_i that sends y^t to
+    ``_coefficient_images(ctx)[r][t]``.  Over F_2, a_0 = a."""
+    if ctx.m == 1:
+        return [rows]
+    return [[functools.reduce(operator.xor, [((a >> t) & low) * c
+                                             for t, c in enumerate(images)])
+             for a in rows] for images in _coefficient_images(ctx)]
+
+
+def _block_is_zero(ctx: FieldCtx, left, right, low: int,
+                   upper: bool) -> bool:
+    """Is <a, b> zero for a row a of ``left`` and b of ``right``?  With
+    ``upper`` (right is left) only b at or after a."""
+    return not any((f & b).bit_count() & 1
+                   for forms in _coefficient_rows(ctx, left, low)
+                   for i, f in enumerate(forms)
+                   for b in (right[i:] if upper else right))
 
 
 def gram_is_zero(gm: GenMatrix) -> bool:
     """Is G * G^T the zero matrix over F_{2^m}?
 
-    Entry <a, b> is the F_2[y] polynomial sum over t, s of
-    parity(a_t & b_s) y^(t+s) on the bit planes a_t = (a >> t) & low, reduced
-    mod the field modulus.
+    By ``parts`` only the upper triangle of a one-count group and the
+    j x mate(j) block of a pair can hold a nonzero entry: for codewords x of
+    component j and y of component l with Euclidean product
+    x . y = c_0 + c_1 u, the Gray images have <phi(x), phi(y)> = c_0 + c_1,
+    and x . y = 0 unless l = mate(j), as eps_j eps_l^* = 0.
     """
-    rows = gm.packed
-    if gm.ctx.m == 1:
-        return all((a & b).bit_count() & 1 == 0
-                   for i, a in enumerate(rows) for b in rows[i:])
-    low, mod = _lane_low(gm.ctx.m, gm.cols), gm.ctx.modulus
-    planes = [[(v >> t) & low for t in range(gm.ctx.m)] for v in rows]
-    for i, pa in enumerate(planes):
-        for pb in planes[i:]:
-            acc = 0
-            for t, a in enumerate(pa):
-                for s, b in enumerate(pb):
-                    acc ^= ((a & b).bit_count() & 1) << (t + s)
-            if acc and f2x_mod(acc, mod):
-                return False
-    return True
+    low = _lane_low(gm.ctx.m, gm.cols)
+    return all(_block_is_zero(gm.ctx, group[0], group[-1], low,
+                              len(group) == 1)
+               for group in gm._groups())

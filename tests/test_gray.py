@@ -1,17 +1,23 @@
 """Gray map, Lee weights, structured generator matrices, distributions."""
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ucyclic
 from literal_oracles import (circulant, generator_matrix_rows, gray_map,
                              last_modulus, lee_distribution_by_words)
 from ucyclic import duality as du
 from ucyclic.errors import DimensionTooLarge, MinDistOfTrivial, UnsupportedK
-from ucyclic.gf import FieldCtx, P_ONE, f2x_mod
+from ucyclic.cyclotomic import factor_xn_minus_1
+from ucyclic.gf import (FieldCtx, P_ONE, f2x_is_irreducible, f2x_mod,
+                        poly_from_key)
 from ucyclic.gray import (GenMatrix, _lane_low, _span_image_matrix,
                           generator_matrix, gray_image_matrix, gray_map_packed,
                           gram_is_zero, is_2_quasi_cyclic, lee_distribution,
@@ -369,6 +375,8 @@ def test_k2_only_surface(fdata):
 # symbols that the packed routines replaced; it stays here as the oracle.
 
 def _ref_add_scaled(ctx, dst, src, c):
+    if not c:
+        return dst
     return tuple(x ^ ctx.mul(c, y) for x, y in zip(dst, src))
 
 
@@ -400,8 +408,8 @@ def _ref_gram_is_zero(ctx, rows):
 
 def _ref_quasi_cyclic(ctx, rows):
     basis, pivots = _ref_rref(ctx, rows)
-    h = len(rows[0]) // 2
     for row in rows:
+        h = len(row) // 2
         left, right = row[:h], row[h:]
         v = (left[-1],) + left[:-1] + (right[-1],) + right[:-1]
         for piv, c in zip(basis, pivots):
@@ -501,3 +509,91 @@ def test_cli_rows_are_the_packed_view(capsys, n, m, modulus):
         assert obj["rows"] == [hex(v) for v in gm.packed]
         assert obj["rows"] == [hex(sum(x << (m * i) for i, x in enumerate(r)))
                                for r in gm.rows]
+
+
+# ---------------------------------------------------------------------------
+# CRT parts: rank, Gram and shift checks part by part
+# ---------------------------------------------------------------------------
+
+def _check_parts(fd, code):
+    """The checks of ``generator_matrix(code)`` by its parts against the
+    same rows unpartitioned and the tuple reference; the rows of components
+    j and l != mate(j) are orthogonal.  Returns the Gram verdict."""
+    ctx, n = fd.ctx, fd.n
+    gm = generator_matrix(code)
+    flat = GenMatrix(ctx, n, packed=gm.packed)
+    rows = gm.rows
+    assert gm.rank() == flat.rank() == len(_ref_rref(ctx, rows)[0]) \
+        == code.dim()
+    gram = gram_is_zero(gm)
+    assert gram == gram_is_zero(flat) == _ref_gram_is_zero(ctx, rows) \
+        == du.is_self_orthogonal(code)
+    assert is_2_quasi_cyclic(gm) and is_2_quasi_cyclic(flat)
+    order = [at for j in fd.component_indices()
+             for at in dict.fromkeys((j, fd.mate(j)))]
+    part = dict(zip(order, (GenMatrix(ctx, n, packed=p)
+                            for group in gm._groups() for p in group),
+                    strict=True))
+    for j, l in itertools.combinations_with_replacement(range(fd.r), 2):
+        if l != fd.mate(j):
+            assert _cross_gram_is_zero(ctx, part[j], part[l])
+    return gram
+
+
+@pytest.mark.parametrize("n, m, modulus", [
+    (3, 1, None), (5, 1, None), (7, 1, None), (9, 1, None), (3, 2, None),
+    (5, 2, None), (1, 3, 0xb), (1, 3, 0xd), (3, 3, 0xb), (3, 3, 0xd),
+    (1, 4, None)])
+def test_parts_match_flat_route_every_code(fdata, n, m, modulus):
+    # every cyclic code: a nonzero Gram matrix is found for each code that
+    # is not self-orthogonal, and some are not
+    fd = fdata(n, m, modulus)
+    grams = [_check_parts(fd, code) for code in enumerate_cyclic(n, m, 2, fd)]
+    assert not all(grams)
+
+
+_fd = functools.cache(factor_xn_minus_1)
+_FIXED_LABELS = (
+    [IdealLabel("u_pow", i=i) for i in range(3)]
+    + [IdealLabel("u_f", s=s) for s in range(2)]
+    + [IdealLabel("two_gen", i=1, s=0)])
+
+
+@st.composite
+def _drawn_codes(draw):
+    """A k = 2 cyclic code at odd n <= 21, m <= 3, a random irreducible
+    modulus and a uniform label per component (the q + 5 labels of a
+    component: six fixed ones and mixed_one with each unit of F_j)."""
+    n = draw(st.integers(0, 10)) * 2 + 1
+    m = draw(st.integers(1, 3))
+    modulus = draw(st.sampled_from([a for a in range(1 << m, 2 << m)
+                                    if f2x_is_irreducible(a)]))
+    fd = _fd(n, m, modulus)
+    labels = []
+    for j in range(fd.r):
+        x = draw(st.integers(0, (1 << (m * fd.degree(j))) + 4))
+        labels.append(_FIXED_LABELS[x] if x < 6 else IdealLabel(
+            "mixed_one", i=1, t=0, omega=(poly_from_key(fd.ctx, x - 5),)))
+    return fd, CyclicCode(fd, 2, tuple(labels))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_drawn_codes())
+def test_parts_match_flat_route_drawn(drawn):
+    fd, code = drawn
+    _check_parts(fd, code)
+    gm = generator_matrix(code)
+    assert is_2_quasi_cyclic(gm) == _ref_quasi_cyclic(fd.ctx, gm.rows)
+
+
+def test_genmatrix_rejects_bad_parts():
+    ctx = FieldCtx(1)
+    packed = (0b0001, 0b0010, 0b0100)
+    for bad in (((1,), (1,)), ((1,), (1, 1, 1)), ((), (3,)), ((1, 1, 1),),
+                ((4,), (-1,)), ((1, 2), (0, 0, 0))):
+        with pytest.raises(ValueError, match=r"do not split 3 rows"):
+            GenMatrix(ctx, 1, packed=packed, parts=bad)
+    ok = GenMatrix(ctx, 1, packed=packed, parts=((1,), (0, 2)))
+    assert ok.parts == ((1,), (0, 2)) and ok.rank() == 3
+    assert ok == GenMatrix(ctx, 1, packed=packed)
+    assert GenMatrix(ctx, 1, packed=packed).parts == ((3,),)
