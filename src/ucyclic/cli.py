@@ -251,9 +251,7 @@ def _read_code_arg(text: str) -> sd.CyclicCode:
 
 
 def _emit(obj) -> None:
-    # json.dumps takes the C encoder; json.dump would stream through the
-    # pure-Python one.  The bytes are the same.
-    sys.stdout.write(json.dumps(obj, separators=(", ", ": ")) + "\n")
+    sys.stdout.write(_encode(obj) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +505,7 @@ def _checks(fd: FactorData, k: int) -> list[tuple]:
 
 
 def _cmd_verify(args) -> int:
+    sd._check_k(args.k)
     fd = factor_xn_minus_1(args.n, args.m, args.modulus)
     print(f"oracle suite for n={args.n} m={args.m} k={args.k} "
           f"modulus={hex(fd.ctx.modulus)}")

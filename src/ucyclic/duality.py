@@ -1,7 +1,8 @@
-"""Duals, hulls, and self-orthogonal cyclic codes over F_{2^m}[u]/(u^2).
+"""Duals, hulls, and self-orthogonal cyclic codes over F_{2^m}[u]/(u^k).
 
-Everything here is k=2 only.  At nilpotency index 2 the ideals of one CRT
-component form a lattice
+``dual_code`` works at every k: the dual moves the label at component j to
+its ``mate_label`` at component mate(j).  Everything else here is k=2 only.
+At nilpotency index 2 the ideals of one CRT component form a lattice
 
     <0>  <  <uf>  <  {<u>, <f>, <u+fw>}  <  <u,f>  <  <1>
 
@@ -9,17 +10,16 @@ In the exponents (a, b) of the ideal (u^a + u^t f w, u^b f)
 (``ideals.exponents``) these are (2, 2), (2, 1), {(1, 1), (2, 0), (1, 1)},
 (1, 0) and (0, 0), and the lattice is graded by level 4 - a - b, the log2 of
 the ideal's size in units of m*d_j (0 to 4).  Two ideals on different levels
-are comparable, and distinct middle ideals meet in <uf>.  The dual of a code
-moves the label at component j to its ``mate_label`` at component mate(j),
-taking (a, b) to (2 - b, 2 - a), so from level l to level 4 - l.  So for the
+are comparable, and distinct middle ideals meet in <uf>.  The mate label
+has exponents (2 - b, 2 - a), so it moves level l to level 4 - l.  So for the
 two labels of a code at (j, mate(j)) the level sum decides: below 4 the code
 lies inside its dual there, above 4 the dual lies inside the code, and at 4
 the two agree iff the second label is the first one's mate, else both sides
 meet in <uf>.  ``hull``, ``is_self_orthogonal`` and
 ``enumerate_selforthogonal`` all follow from this one rule; a
-self-reciprocal component is the case j == mate(j).  ``UnsupportedK`` is
-raised for any other k — general-k duals are only available through the
-brute-force oracle.
+self-reciprocal component is the case j == mate(j).  They raise
+``UnsupportedK`` for any other k, where hulls are only available through
+the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from bisect import bisect_left
 
 from .cyclotomic import FactorData, factor_data, factor_degrees
 from .errors import UnsupportedK
-from .ideals import IdealLabel, enumerate_ideals, exponents
+from .ideals import IdealLabel, enumerate_ideals, exponents, label_classes
 from .selfdual import (CyclicCode, _build_code, _mate_label,
                        selfdual_component_labels)
 
@@ -38,7 +38,6 @@ __all__ = [
     "enumerate_selforthogonal", "count_selforthogonal",
 ]
 
-L_ZERO = IdealLabel("u_pow", i=2)
 L_UF = IdealLabel("u_f", s=1)
 
 
@@ -48,23 +47,15 @@ def _level(label: IdealLabel) -> int:
     return 4 - a - b
 
 
-def _require_k2(code: CyclicCode) -> None:
-    if code.k != 2:
-        raise UnsupportedK(
-            f"duals and hulls are tabulated for k=2 only (got k={code.k}); "
-            "use the brute-force oracle for other k")
-
-
 def dual_code(code: CyclicCode) -> CyclicCode:
-    """The Euclidean dual: label a at component j becomes
+    """The Euclidean dual, at any k: label a at component j becomes
     ``mate_label(j, a)`` at component mate(j)."""
-    _require_k2(code)
-    fd = code.fd
+    fd, k = code.fd, code.k
     comps: list[IdealLabel | None] = [None] * fd.r
     for j, lab in enumerate(code.components):
-        comps[fd.mate(j)] = _mate_label(fd, j, lab, 2)
-    dual = CyclicCode._trusted(fd, 2, tuple(comps))
-    assert code.size_log2() + dual.size_log2() == 4 * fd.m * fd.n, \
+        comps[fd.mate(j)] = _mate_label(fd, j, lab, k)
+    dual = CyclicCode._trusted(fd, k, tuple(comps))
+    assert code.size_log2() + dual.size_log2() == 2 * k * fd.m * fd.n, \
         "|C|*|C_dual| must equal |R|^(2n)"
     return dual
 
@@ -87,7 +78,9 @@ def _hull_pair(fd: FactorData, j: int, a: IdealLabel,
 
 def hull(code: CyclicCode) -> CyclicCode:
     """Hull(C) = C intersect dual(C), pair by pair from the level rule."""
-    _require_k2(code)
+    if code.k != 2:
+        raise UnsupportedK(f"hulls are tabulated for k=2 only (got k={code.k})"
+                           "; use the brute-force oracle for other k")
     fd = code.fd
     comps = list(code.components)
     for j in fd.component_indices():
@@ -131,11 +124,14 @@ def _selforth_lists(fd: FactorData) -> list[list]:
     ``selfdual._build_code``).
 
     At a self-reciprocal component b == a, so the level sum is 2*level(a):
-    the labels below level 2, and on level 2 the self-dual ones.  Those come
-    from the Theta sets; filtering all q + 1 middle ideals would cost q
-    transports for sqrt(q) + 1 labels.
+    the labels below level 2 (the classes with a + b > 2, <0> and <uf>), and
+    on level 2 the self-dual ones.  Those come from the Theta sets;
+    filtering all q + 1 middle ideals would cost q transports for
+    sqrt(q) + 1 labels.
     """
-    return [[L_ZERO, L_UF, *selfdual_component_labels(fd, j, 2)]
+    below = [IdealLabel(c.kind, c.i, c.t, c.s) for c in label_classes(2)
+             if c.a + c.b > 2]
+    return [[*below, *selfdual_component_labels(fd, j, 2)]
             if j < fd.num_selfrec else list(_selforth_pairs(fd, j))
             for j in fd.component_indices()]
 

@@ -26,21 +26,30 @@ nonzero constant coefficient.  In (a, b) form every row reads the same way:
 the ideal has q^(2k - a - b) elements, its unit has length b - t, and its
 dual (the annihilator under the reciprocal map, ``selfdual.mate_label``) is
 (u^(k-b) + u^(t+k-a-b) f w', u^(k-a) f), with w' the transported unit
-(``quotient.omega_prime``).  The ranges say that the label is the
-:func:`canonical_label` of its own (a, b, t, w), with 0 <= t < b <= a <= k.
-``count_ideals`` gives the total from the closed-form census; the tests check
-it against ``enumerate_ideals``, the brute-force census and the shape-by-shape
-counts.
+(``quotient.omega_prime``), so it is its own dual's shape iff a + b = k.
+
+:func:`label_classes` is this classification, the one place it is written
+out: a class per (kind, i, t, s) in the ranges above, with its (a, b), in
+enumeration order.  A label is valid iff its (kind, i, t, s) is a class and
+its unit fits; each class is the :func:`canonical_label` of its (a, b, t),
+0 <= t < b <= a <= k.  ``count_ideals`` gives the total from the
+closed-form census; the tests check it against ``enumerate_ideals``, the
+brute-force census, the class sizes and the shape-by-shape counts.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import quotient as qt
+from .errors import TooLarge
 from .gf import P_ONE, P_ZERO, poly_degree
 
 KINDS = ("u_pow", "u_f", "mixed_one", "mixed_two", "two_gen", "two_gen_omega")
+
+MAX_K = 64      # the largest k with a class table (24,497 classes, ~k^3/12)
 
 
 @dataclass(frozen=True)
@@ -63,25 +72,48 @@ def exponents(label: IdealLabel, k: int) -> tuple[int, int]:
     return a, k - a + t
 
 
-def _shape(k: int, a: int, b: int, t: int | None):
-    """(kind, i, s) of the canonical label of (u^a + u^t f w, u^b f), for
-    b no larger than the u-power of f the first generator brings in."""
-    if t is None:
-        if b == a:
-            return "u_pow", a, None
-        return ("u_f", None, b) if a == k else ("two_gen", a, b)
-    if b < a and b < k - a + t:
-        return "two_gen_omega", a, b
-    return ("mixed_one" if a <= k - a + t else "mixed_two"), a, None
+# The labels (kind, i, t, s, w) for every unit w of length b - t (one label,
+# w None, when t is None); (a, b) are their exponents.
+LabelClass = namedtuple("LabelClass", "kind i t s a b")
+
+
+@functools.cache
+def label_classes(k: int) -> tuple[LabelClass, ...]:
+    """Every label class of K[u]/(u^k) in enumeration order: kinds in table
+    order, then i, t, s ascending (two_gen_omega: i, s, t); k <= MAX_K."""
+    if k > MAX_K:
+        raise TooLarge(f"k={k} is above the cap of {MAX_K}")
+    r = range
+    params = [
+        *(("u_pow", i, None, None) for i in r(k + 1)),
+        *(("u_f", None, None, s) for s in r(k)),
+        *(("mixed_one", i, t, None)
+          for i in r(1, k) for t in r(max(0, 2 * i - k), i)),
+        *(("mixed_two", i, t, None) for i in r(k // 2 + 1, k)
+          for t in r(2 * i - k)),
+        *(("two_gen", i, None, s) for i in r(1, k) for s in r(i)),
+        *(("two_gen_omega", i, t, s) for i in r(1, k) for s in r(1, i)
+          for t in r(max(0, i + s + 1 - k), s)),
+    ]
+    return tuple(LabelClass(*p, *exponents(IdealLabel(*p), k))
+                 for p in params)
+
+
+@functools.cache
+def _class_index(k: int) -> dict[tuple, LabelClass]:
+    """The classes of ``label_classes(k)`` keyed by their (kind, i, t, s)
+    and again by their (a, b, t)."""
+    rows = label_classes(k)
+    return {c[:4]: c for c in rows} | {(c.a, c.b, c.t): c for c in rows}
 
 
 def canonical_label(k: int, a: int, b: int, t: int | None = None,
-                    omega: tuple | None = None) -> IdealLabel:
+                    omega: tuple | None = None) -> IdealLabel | None:
     """The label of the ideal (u^a + u^t f w, u^b f) of K[u]/(u^k), w =
-    ``omega`` (no unit term when t is None); needs 0 <= t < b <= a <= k and
-    b at most the u-power of f that u^a + u^t f w brings in."""
-    kind, i, s = _shape(k, a, b, t)
-    return IdealLabel(kind, i=i, t=t, s=s, omega=omega)
+    ``omega`` (no unit term when t is None); None unless 0 <= t < b <= a <= k
+    and b is at most the u-power of f that u^a + u^t f w brings in."""
+    row = _class_index(k).get((a, b, t))
+    return row and IdealLabel(row.kind, row.i, t, row.s, omega)
 
 
 def omega_truncation(label: IdealLabel, k: int) -> int | None:
@@ -90,21 +122,22 @@ def omega_truncation(label: IdealLabel, k: int) -> int | None:
 
 
 def validate_label(label: IdealLabel, k: int, d: int | None = None) -> None:
-    """Raise ValueError unless the label is canonical for nilpotency index k."""
+    """Raise ValueError unless the label is canonical for nilpotency index k
+    (its (kind, i, t, s) is a class of ``label_classes(k)``, its unit fits)."""
     kind, t = label.kind, label.t
     if kind not in KINDS:
         raise ValueError(f"unknown ideal kind {kind!r}")
-    a, b = exponents(label, k)
-    if not (0 <= b <= a <= k and (t is None or 0 <= t < b)
-            and _shape(k, a, b, t) == (kind, label.i, label.s)):
+    row = _class_index(k).get((kind, label.i, t, label.s))
+    if row is None:
         raise ValueError(f"out-of-range parameters for {label}")
     w = label.omega
     if t is None:
         if w is not None:
             raise ValueError(f"{kind} takes no unit parameter")
         return
-    if w is None or len(w) != b - t:
-        raise ValueError(f"{kind} needs a unit expansion of length {b - t}")
+    length = row.b - t
+    if w is None or len(w) != length:
+        raise ValueError(f"{kind} needs a unit expansion of length {length}")
     if not w[0]:
         raise ValueError("unit expansion must have nonzero constant term")
     if d is not None and any(poly_degree(c) >= d for c in w):
@@ -142,34 +175,15 @@ def ideal_size_log2(label: IdealLabel, m: int, d: int, k: int) -> int:
 def enumerate_ideals(fd, j: int, k: int):
     """Yield every ideal label for component j, in a fixed documented order.
 
-    Order: shapes in the table order of the module docstring; within a shape,
-    indices ascending (i, then t, then s) and unit expansions in the canonical
-    counter order of :func:`ucyclic.quotient.u_units`.
+    Order: the classes of :func:`label_classes`, each with its unit
+    expansions in the canonical counter order of
+    :func:`ucyclic.quotient.u_units`.
     """
     _require_k(k)
     ring = qt.field_ring(fd, j)
-    for i in range(k + 1):
-        yield IdealLabel("u_pow", i=i)
-    for s in range(k):
-        yield IdealLabel("u_f", s=s)
-    for i in range(1, k):
-        for t in range(max(0, 2 * i - k), i):
-            for w in qt.u_units(ring, i - t):
-                yield IdealLabel("mixed_one", i=i, t=t, omega=w)
-    for i in range(k // 2 + 1, k):
-        for t in range(0, 2 * i - k):
-            for w in qt.u_units(ring, k - i):
-                yield IdealLabel("mixed_two", i=i, t=t, omega=w)
-    for i in range(1, k):
-        for s in range(i):
-            yield IdealLabel("two_gen", i=i, s=s)
-    for i in range(1, k):
-        for s in range(1, i):
-            for t in range(0, s):
-                if i + s > k + t - 1:
-                    continue
-                for w in qt.u_units(ring, s - t):
-                    yield IdealLabel("two_gen_omega", i=i, t=t, s=s, omega=w)
+    for c in label_classes(k):
+        for w in (None,) if c.t is None else qt.u_units(ring, c.b - c.t):
+            yield IdealLabel(*c[:4], w)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ components of F_{2^m}[x]/(x^(2n)-1): one ideal label per irreducible factor
 of x^n-1 (see :mod:`ucyclic.ideals`).  :class:`CyclicCode` stores that label
 vector.  Self-duality is a per-component condition:
 
-* self-reciprocal component: the label must be its own dual, which pins the
-  shape to a short list whose unit parameters range over a Theta set — the
-  units fixed by ``w == delta * x^(-d) * w(x^(-1))``;
+* self-reciprocal component: the label must be its own dual, which pins it
+  to a class of ``ideals.label_classes`` with a + b = k, its unit
+  parameters ranging over a Theta set — the units fixed by
+  ``w == delta * x^(-d) * w(x^(-1))``;
 * reciprocal pair: the label on the partner component is a deterministic
   function (:func:`mate_label`) of the label on the representative.
 
@@ -29,7 +30,7 @@ from .gf import (P_ZERO, Poly, poly_add, poly_from_key, poly_key, poly_mulmod,
                  poly_scale)
 from .ideals import (IdealLabel, canonical_label, count_ideals,
                      enumerate_ideals, exponents, ideal_generators,
-                     ideal_size_log2, validate_label)
+                     ideal_size_log2, label_classes, validate_label)
 from .oracle import span_words
 
 __all__ = [
@@ -209,28 +210,19 @@ def is_self_dual(code: CyclicCode) -> bool:
 def selfdual_component_labels(fd: FactorData, j: int, k: int):
     """Self-dual ideal labels for self-reciprocal component j, general k.
 
-    Yields, for even k: (u^(k/2)); (f); (u^(k/2)+u^t f w); (u^i+f w);
-    (u^i, u^(k-i) f); (u^i+u^t f w, u^(k-i) f) — and the odd-k analogue —
-    with every w running over the Theta set of the matching truncation.
+    The mate of a class (a, b) is (k - b, k - a), so the self-dual classes
+    are those of ``ideals.label_classes`` with a + b = k, every w running
+    over the Theta set of length b - t.  They come in table order, but those
+    with 0 < b < a grouped by i: for even k, (u^(k/2)); (f);
+    (u^(k/2)+u^t f w); then for each i > k/2, (u^i+f w), (u^i, u^(k-i) f)
+    and (u^i+u^t f w, u^(k-i) f).  Odd k has no u^(k/2) shapes.
     """
+    classes = sorted((c for c in label_classes(k) if c.a + c.b == k),
+                     key=lambda c: c.a if 0 < c.b < c.a else 0)
     theta = {s: theta_set(fd, j, s).members for s in range(1, k // 2 + 1)}
-    if k % 2 == 0:
-        yield IdealLabel("u_pow", i=k // 2)
-        yield IdealLabel("u_f", s=0)
-        for t in range(k // 2):
-            for w in theta[k // 2 - t]:
-                yield IdealLabel("mixed_one", i=k // 2, t=t, omega=w)
-        lo = k // 2 + 1
-    else:
-        yield IdealLabel("u_f", s=0)
-        lo = (k + 1) // 2
-    for i in range(lo, k):
-        for w in theta[k - i]:
-            yield IdealLabel("mixed_two", i=i, t=0, omega=w)
-        yield IdealLabel("two_gen", i=i, s=k - i)
-        for t in range(1, k - i):
-            for w in theta[k - i - t]:
-                yield IdealLabel("two_gen_omega", i=i, t=t, s=k - i, omega=w)
+    for c in classes:
+        for w in (None,) if c.t is None else theta[c.b - c.t]:
+            yield IdealLabel(*c[:4], w)
 
 
 def _build_code(fd: FactorData, k: int, choice) -> CyclicCode:
@@ -312,10 +304,6 @@ def count_cyclic(n: int, m: int, k: int,
 # the designated [60, 30, 8] family (n=15, m=1, k=2)
 # ---------------------------------------------------------------------------
 
-def _lab(kind, **kw) -> IdealLabel:
-    return IdealLabel(kind, **kw)
-
-
 def family_60_30_8(fd: FactorData | None = None) -> list[CyclicCode]:
     """The 48 self-dual codes of length 30 over F_2[u]/(u^2) whose Gray
     images are [60, 30, 8] binary codes.
@@ -324,11 +312,11 @@ def family_60_30_8(fd: FactorData | None = None) -> list[CyclicCode]:
     2 -> x^4+x^3+x^2+x+1, 3/4 -> the reciprocal pair x^4+x+1, x^4+x^3+1.
     """
     fd = factor_data(15, 1, fd)
-    u = _lab("u_pow", i=1)
-    f = _lab("u_f", s=0)
+    u = IdealLabel("u_pow", i=1)
+    f = IdealLabel("u_f", s=0)
 
     def mixed(w):
-        return _lab("mixed_one", i=1, t=0, omega=(w,))
+        return IdealLabel("mixed_one", i=1, t=0, omega=(w,))
 
     theta3 = [w[0] for w in theta_set(fd, 2, 1).members]    # 3 units
     x3 = (0, 0, 0, 1)
@@ -339,8 +327,8 @@ def family_60_30_8(fd: FactorData | None = None) -> list[CyclicCode]:
              + [(mixed((1,)), c3) for c3 in
                 [u, f, mixed(x3), mixed(x3x1)]])
     c2_choices = [u, mixed(theta_set(fd, 1, 1).members[0][0])]
-    pair_choices = [(_lab("u_pow", i=0), _lab("u_pow", i=2)),
-                    (_lab("u_pow", i=2), _lab("u_pow", i=0))]
+    pair_choices = [(IdealLabel("u_pow", i=0), IdealLabel("u_pow", i=2)),
+                    (IdealLabel("u_pow", i=2), IdealLabel("u_pow", i=0))]
     out = []
     for (c1, c3) in c1_c3:
         for c2 in c2_choices:

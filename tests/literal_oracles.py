@@ -7,6 +7,10 @@ routes the tests hold it to:
   for k = 2..5 from hand-written per-k label tables, one list per
   component, through the same builder (``selfdual._build_code``) as
   ``enumerate_selfdual``;
+* ``enumerate_ideals_by_loops`` and ``selfdual_component_labels_by_hand``
+  list the ideal labels of one component, and its self-dual ones, by one
+  hand loop per shape, where the package walks the class table
+  ``ideals.label_classes``;
 * ``count_ideals_closed`` is the closed rational form of ``count_ideals``,
   and ``count_ideals_by_shape`` counts the ideals shape by shape
   (``omega1``, ``omega2`` and ``gamma``);
@@ -104,6 +108,68 @@ def count_ideals_closed(q: int, k: int) -> int:
     den = (q - 1) ** 2
     assert num % den == 0
     return num // den
+
+
+# ---------------------------------------------------------------------------
+# label lists from hand-written loops
+# ---------------------------------------------------------------------------
+
+# (n, m, modulus) of the fields on which the tests hold the class table to
+# these loops
+TABLE_FIELDS = [(15, 1, None), (7, 1, None), (9, 2, None), (5, 2, None),
+                (17, 1, None), (1, 1, None), (3, 4, None), (3, 3, 0xd)]
+
+
+def enumerate_ideals_by_loops(fd, j: int, k: int):
+    """Every ideal label of component j, one hand loop per shape, in the
+    order of ``ideals.enumerate_ideals`` (cross-check)."""
+    ring = qt.field_ring(fd, j)
+    for i in range(k + 1):
+        yield _lab("u_pow", i=i)
+    for s in range(k):
+        yield _lab("u_f", s=s)
+    for i in range(1, k):
+        for t in range(max(0, 2 * i - k), i):
+            for w in qt.u_units(ring, i - t):
+                yield _lab("mixed_one", i=i, t=t, omega=w)
+    for i in range(k // 2 + 1, k):
+        for t in range(0, 2 * i - k):
+            for w in qt.u_units(ring, k - i):
+                yield _lab("mixed_two", i=i, t=t, omega=w)
+    for i in range(1, k):
+        for s in range(i):
+            yield _lab("two_gen", i=i, s=s)
+    for i in range(1, k):
+        for s in range(1, i):
+            for t in range(0, s):
+                if i + s > k + t - 1:
+                    continue
+                for w in qt.u_units(ring, s - t):
+                    yield _lab("two_gen_omega", i=i, t=t, s=s, omega=w)
+
+
+def selfdual_component_labels_by_hand(fd, j: int, k: int):
+    """Self-dual labels of self-reciprocal component j, written out for
+    even and odd k, in the order of ``selfdual.selfdual_component_labels``
+    (cross-check)."""
+    theta = {s: theta_set(fd, j, s).members for s in range(1, k // 2 + 1)}
+    if k % 2 == 0:
+        yield _lab("u_pow", i=k // 2)
+        yield _lab("u_f", s=0)
+        for t in range(k // 2):
+            for w in theta[k // 2 - t]:
+                yield _lab("mixed_one", i=k // 2, t=t, omega=w)
+        lo = k // 2 + 1
+    else:
+        yield _lab("u_f", s=0)
+        lo = (k + 1) // 2
+    for i in range(lo, k):
+        for w in theta[k - i]:
+            yield _lab("mixed_two", i=i, t=0, omega=w)
+        yield _lab("two_gen", i=i, s=k - i)
+        for t in range(1, k - i):
+            for w in theta[k - i - t]:
+                yield _lab("two_gen_omega", i=i, t=t, s=k - i, omega=w)
 
 
 # ---------------------------------------------------------------------------

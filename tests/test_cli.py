@@ -469,6 +469,22 @@ def test_m_above_cap_exits_4(capsys):
     assert rc == 4 and out == ""
 
 
+def test_verify_below_k2_exits_2_before_printing(capsys):
+    for k in ("1", "0"):
+        rc, out = run(capsys, "verify", "--n", "3", "--m", "1", "--k", k)
+        assert rc == 2 and out == "", k
+
+
+def test_k_above_class_table_cap_exits_4(capsys):
+    from ucyclic.ideals import MAX_K
+    k = str(MAX_K + 1)
+    rc, out = run(capsys, "enum-ideals", "--q", "2", "--k", k, "--limit", "1")
+    assert rc == 4 and out == ""
+    desc = json.loads(SD7) | {"k": MAX_K + 1}
+    rc, out = run(capsys, "hull", "--code", json.dumps(desc))
+    assert rc == 4 and out == ""
+
+
 def test_k_below_one_exits_2(capsys):
     for argv in (["count-ideals", "--q", "4", "--k", "-1"],
                  ["count-ideals", "--q", "4", "--k", "0"],

@@ -8,10 +8,12 @@ test_selforth_census_brute_f4.
 """
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
+from literal_oracles import TABLE_FIELDS, selfdual_component_labels_by_hand
 from ucyclic import duality as du
 from ucyclic.errors import UnsupportedK
 from ucyclic.gf import poly_from_key
@@ -133,6 +135,30 @@ def test_dual_involution_and_size(fdata):
             dc = du.dual_code(code)
             assert du.dual_code(dc) == code
             assert code.size_log2() + dc.size_log2() == 2 * n * m * 2
+
+
+# (n, m, modulus, k, how many codes): every code but at (3, 1, k = 4)
+DUAL_K_CASES = [(1, 1, None, 3, None), (1, 1, None, 4, None),
+                (1, 1, None, 5, None), (1, 1, None, 6, None),
+                (3, 1, None, 3, None), (1, 2, None, 3, None),
+                (1, 3, 0xd, 3, None), (3, 1, None, 4, 400)]
+
+
+@pytest.mark.parametrize("n,m,modulus,k,limit", DUAL_K_CASES)
+def test_dual_equals_brute_every_k(fdata, n, m, modulus, k, limit):
+    """Above k = 2 the label dual is still the oracle's dual, and a code is
+    self-dual exactly when it is its own label dual."""
+    fd = fdata(n, m, modulus)
+    mod = fd.ctx.modulus
+
+    def span(code):
+        return span_code(n, m, k, to_ambient_generators(code), mod)
+
+    for code in itertools.islice(enumerate_cyclic(n, m, k, fd), limit):
+        dual = du.dual_code(code)
+        assert sorted(span(dual).basis) == sorted(brute_dual(span(code),
+                                                             mod).basis)
+        assert is_self_dual(code) == (dual == code)
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 1), (5, 1), (1, 2)])
@@ -275,11 +301,22 @@ def test_selforth_count_table_census_consistent():
         assert du.count_selforthogonal(n2 // 2, 1) == want
 
 
+@pytest.mark.parametrize("n,m,modulus", TABLE_FIELDS)
+def test_selforth_lists_match_hand_list(fdata, n, m, modulus):
+    """At a self-reciprocal component the self-orthogonal list is <0>, <uf>
+    and then the hand-written self-dual list."""
+    fd = fdata(n, m, modulus)
+    lists = du._selforth_lists(fd)
+    for j in range(fd.num_selfrec):
+        assert lists[j] == [IdealLabel("u_pow", i=2), IdealLabel("u_f", s=1),
+                            *selfdual_component_labels_by_hand(fd, j, 2)]
+
+
 def test_k2_only(fdata):
+    # the dual is defined at every k; hulls and self-orthogonality are not
     fd = fdata(3, 1)
     code = next(iter(enumerate_selfdual(3, 1, 3, fd)))
-    with pytest.raises(UnsupportedK):
-        du.dual_code(code)
+    assert du.dual_code(code) == code
     with pytest.raises(UnsupportedK):
         du.hull(code)
     with pytest.raises(UnsupportedK):

@@ -1,5 +1,5 @@
-"""The six-shape ideal taxonomy of K[u]/(u^k), K = F_q[x]/(f^2): labels,
-counts, sizes, generators, and member sets."""
+"""The six-shape ideal taxonomy of K[u]/(u^k), K = F_q[x]/(f^2): the class
+table, labels, counts, sizes, generators, and member sets."""
 from __future__ import annotations
 
 import functools
@@ -9,16 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from literal_oracles import (count_ideals_by_shape, count_ideals_closed,
+from literal_oracles import (TABLE_FIELDS, count_ideals_by_shape,
+                             count_ideals_closed, enumerate_ideals_by_loops,
                              generators_by_kind, mate_label_by_kind,
                              omega_truncation_by_kind, size_log2_by_kind,
                              validate_label_by_kind)
 from ucyclic import quotient as qt
 from ucyclic.cyclotomic import factor_xn_minus_1
 from ucyclic.gf import poly_from_key
-from ucyclic.ideals import (KINDS, IdealLabel, canonical_label, count_ideals,
-                            enumerate_ideals, exponents, ideal_generators,
-                            ideal_size_log2, omega_truncation, validate_label)
+from ucyclic.errors import TooLarge
+from ucyclic.ideals import (KINDS, MAX_K, IdealLabel, canonical_label,
+                            count_ideals, enumerate_ideals, exponents,
+                            ideal_generators, ideal_size_log2, label_classes,
+                            omega_truncation, validate_label)
 from ucyclic.oracle import ideal_members, pack_uelem
 from ucyclic.selfdual import _derive_mate_label, mate_label
 
@@ -50,6 +53,55 @@ def test_shape_counts_sum(fdata):
     for q, k in [(2, 2), (4, 3), (8, 4), (2, 7)]:
         shapes = count_ideals_by_shape(q, k)
         assert sum(shapes.values()) == count_ideals(q, k)
+
+
+# ---------------------------------------------------------------------------
+# the class table against the hand-written loops
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n,m,modulus", TABLE_FIELDS)
+def test_enumerate_matches_hand_loops(fdata, n, m, modulus):
+    """The class-table walk yields the six hand loops' labels in their
+    order, k = 1..8, on every component with d*m*k <= 16."""
+    fd = fdata(n, m, modulus)
+    checked = 0
+    for k in range(1, 9):
+        for j in range(fd.r):
+            if fd.degree(j) * m * k <= 16:
+                assert (list(enumerate_ideals(fd, j, k))
+                        == list(enumerate_ideals_by_loops(fd, j, k)))
+                checked += 1
+    assert checked
+
+
+def test_class_sizes_sum_to_count():
+    """A class holds (q - 1) * q^(b - t - 1) labels if it has a unit, else
+    one; the classes of each k add up to the closed-form census."""
+    for k in range(1, 10):
+        for e in range(1, 17):
+            q = 1 << e
+            assert sum(1 if c.t is None else (q - 1) * q ** (c.b - c.t - 1)
+                       for c in label_classes(k)) == count_ideals(q, k)
+
+
+def test_classes_are_canonical_labels_of_their_exponents():
+    """Each class is the canonical label of its own (a, b, t), so the map
+    (a, b, t) -> class is one to one."""
+    for k in range(0, 13):
+        rows = label_classes(k)
+        assert len({(c.a, c.b, c.t) for c in rows}) == len(rows)
+        for c in rows:
+            assert (canonical_label(k, c.a, c.b, c.t)
+                    == IdealLabel(c.kind, c.i, c.t, c.s))
+    assert canonical_label(2, 1, 2) is None         # b above a: no class
+
+
+def test_class_table_cap():
+    assert len(label_classes(MAX_K)) == 24497
+    with pytest.raises(TooLarge):
+        label_classes(MAX_K + 1)
+    with pytest.raises(TooLarge):
+        validate_label(IdealLabel("u_pow", i=0), MAX_K + 1)
 
 
 VALID = [

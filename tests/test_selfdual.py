@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from literal_oracles import selfdual_k2_list, selfdual_k345_list
+from literal_oracles import (TABLE_FIELDS, selfdual_component_labels_by_hand,
+                             selfdual_k2_list, selfdual_k345_list)
 from ucyclic import duality as du
 from ucyclic import quotient as qt
 from ucyclic.cyclotomic import factor_degrees
@@ -20,7 +21,8 @@ from ucyclic.oracle import (brute_is_selfdual, span_code,
 from ucyclic.selfdual import (CyclicCode, _derive_mate_label, _mate_label,
                               count_cyclic, count_selfdual, enumerate_cyclic,
                               enumerate_selfdual, family_60_30_8,
-                              is_self_dual, mate_label, theta_level_one,
+                              is_self_dual, mate_label,
+                              selfdual_component_labels, theta_level_one,
                               theta_set, to_ambient_generators)
 
 
@@ -254,6 +256,19 @@ def test_k345_list_equals_enumeration_small(fdata, k):
         fd = fdata(n, m)
         assert set(selfdual_k345_list(n, m, k, fd)) == \
             set(enumerate_selfdual(n, m, k, fd))
+
+
+@pytest.mark.parametrize("n,m,modulus", TABLE_FIELDS)
+def test_component_labels_match_hand_list(fdata, n, m, modulus):
+    """The self-dual classes of the class table (a + b = k, sorted) yield
+    the hand-written even/odd list in its order, k = 2..8, on every
+    self-reciprocal component with d*m*floor(k/2) <= 18."""
+    fd = fdata(n, m, modulus)
+    for k in range(2, 9):
+        for j in range(fd.num_selfrec):
+            if fd.degree(j) * m * (k // 2) <= 18:
+                assert (list(selfdual_component_labels(fd, j, k))
+                        == list(selfdual_component_labels_by_hand(fd, j, k)))
 
 
 def test_k345_list_rejects_other_k(fdata):
