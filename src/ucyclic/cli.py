@@ -428,8 +428,8 @@ def _checks(fd: FactorData, k: int) -> list[tuple]:
     q_max = 1 << (m * max(map(fd.degree, range(fd.r))))
     long_lists = _refuse(il.count_ideals(q_max, k).bit_length() - 1,
                          LABELS_LOG2, "labels in one component")
-    k2_only = (long_lists if k == 2
-               else "the duality and Gray layers are k = 2 only")
+    k2_only = (long_lists if k == 2 else
+               "hulls, self-orthogonal codes and the Gray map are k = 2 only")
 
     def census(j):
         got = len(orc.brute_component_ideals(fd, j, k))
@@ -491,6 +491,10 @@ def _checks(fd: FactorData, k: int) -> list[tuple]:
         ("selfdual-filter",
          _refuse(2 * n * m * k, CENSUS_LOG2, "vectors of R^(2n)"),
          selfdual_filter),
+        ("dual-oracle", long_lists, lambda: sample(
+            per_factor(), SAMPLES,
+            lambda c: _dense(du.dual_code(c)) == orc.brute_dual(_dense(c), mod),
+            " checked", sd.CyclicCode._trusted)),
         ("hull-oracle", k2_only, lambda: sample(
             per_factor(), SAMPLES, _hull_ok, " checked",
             sd.CyclicCode._trusted)),

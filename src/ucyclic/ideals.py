@@ -151,6 +151,8 @@ def validate_label(label: IdealLabel, k: int, d: int | None = None) -> None:
 def _require_k(k: int) -> None:
     if k < 1:
         raise ValueError(f"nilpotency index k must be >= 1, got {k}")
+    if k > MAX_K:
+        raise TooLarge(f"k={k} is above the cap of {MAX_K}")
 
 
 def count_ideals(q: int, k: int) -> int:

@@ -43,47 +43,44 @@ def _reduce(piv: dict[int, int], v: int) -> int:
     return v
 
 
+def _back_substitute(piv: dict[int, int], low: bool = False) -> list[int]:
+    """Clear each pivot bit of ``piv`` off every other row, in place, and
+    return the pivots descending.  Pivots are leading bits, walked upward,
+    or with ``low`` lowest bits, walked downward: a row meets only pivot
+    rows already reduced."""
+    done = 0                                     # pivot bits already reduced
+    for p in sorted(piv, reverse=low):
+        row = piv[p]
+        hits = row & done
+        while hits:
+            q = hits.bit_length() - 1
+            row ^= piv[q]                        # piv[q] has no other pivot bit
+            hits ^= 1 << q
+        piv[p] = row
+        done |= 1 << p
+    return sorted(piv, reverse=True)
+
+
 def rref_bits(rows, ncols: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
     Rows must lie below bit ``ncols``.  Each row is reduced (:func:`_reduce`)
-    into a map from leading bit to pivot row, then one pass upward from the
-    lowest pivot clears every pivot bit off the rows above it.  Rows and
-    pivots come out sorted descending.
+    into a map from leading bit to pivot row, then :func:`_back_substitute`
+    clears every pivot bit off the other rows.  Rows and pivots come out
+    sorted descending.
     """
     piv: dict[int, int] = {}
     for r in rows:
         v = _reduce(piv, int(r))
         if v:
             piv[v.bit_length() - 1] = v
-    below = 0                                    # pivot bits already reduced
-    for p in sorted(piv):
-        row = piv[p]
-        hits = row & below
-        while hits:
-            q = hits.bit_length() - 1
-            row ^= piv[q]                        # piv[q] has no other pivot bit
-            hits ^= 1 << q
-        piv[p] = row
-        below |= 1 << p
-    pivots = sorted(piv, reverse=True)
+    pivots = _back_substitute(piv)
     return [piv[p] for p in pivots], pivots
 
 
-def nullspace_bits(rows, ncols: int) -> list[int]:
-    """Basis of the right nullspace of the given bit-rows."""
-    red, pivots = rref_bits(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for row, p in zip(red, pivots):
-            if row & (1 << free):
-                v |= 1 << p
-        basis.append(v)
-    return basis
+def _rref_tuple(piv: dict[int, int]) -> tuple[int, ...]:
+    """The canonical RREF rows, descending, of a leading-bit pivot map."""
+    return tuple([piv[p] for p in _back_substitute(piv)])
 
 
 def tabulate_map(images) -> tuple[tuple[int, ...], ...]:
@@ -111,12 +108,10 @@ def apply_map(tables, v: int) -> int:
     return out
 
 
-def map_closure(gens, maps) -> list[int]:
+def map_closure(gens, maps) -> dict[int, int]:
     """XOR basis of the smallest F_2 subspace holding gens and closed under
-    every map in ``maps`` (byte tables, see :func:`tabulate_map`).
-
-    Rows have distinct leading bits and come out sorted descending; the
-    basis is not reduced (pass it through :func:`rref_bits` for that).
+    every map in ``maps`` (byte tables, see :func:`tabulate_map`), as a map
+    from leading bit to row, not reduced (see :func:`_rref_tuple`).
     """
     piv: dict[int, int] = {}
     pending = [int(g) for g in gens]
@@ -125,7 +120,7 @@ def map_closure(gens, maps) -> list[int]:
         if v:
             piv[v.bit_length() - 1] = v
             pending.extend(apply_map(tables, v) for tables in maps)
-    return sorted(piv.values(), reverse=True)
+    return piv
 
 
 def span_words(basis) -> frozenset[int]:
@@ -173,22 +168,16 @@ class DenseCode:
         return span_words(self.basis)
 
 
-def _canon(rows, nbits: int) -> tuple[int, ...]:
-    red, _ = rref_bits(rows, nbits)
-    return tuple(red)
-
-
 # ---------------------------------------------------------------------------
 # the ambient module R^(2n) and its monomial maps
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def ambient_maps(n: int, m: int, k: int, modulus: int | None = None):
-    """(nbits, monomial maps, invertible monomial maps) for R^(2n).
-
-    Maps are byte tables (:func:`tabulate_map`): multiply-by-x (cyclic
-    coordinate shift), multiply-by-u (slot shift, not invertible), and for
-    m > 1 multiply by the field generator y.
+    """(nbits, monomial maps, invertible maps) for R^(2n): byte tables
+    (:func:`tabulate_map`) of multiply-by-x (cyclic coordinate shift),
+    multiply-by-u (slot shift) and, for m > 1, by the field generator y;
+    the invertible ones, x, y and the unit 1 + u, keep a vector's closure.
     """
     ctx = FieldCtx(m, modulus)
     length = 2 * n
@@ -213,13 +202,14 @@ def ambient_maps(n: int, m: int, k: int, modulus: int | None = None):
                         acc |= 1 << bit(c, l, bb)
                 ymap[bit(c, l, b)] = acc
     maps = tuple(map(tabulate_map, [xmap, umap] + ([ymap] if m > 1 else [])))
-    return nbits, maps, maps[::2]               # x and y invert, u does not
+    return nbits, maps, maps[::2] + (tabulate_map(
+        [(1 << i) ^ img for i, img in enumerate(umap)]),)
 
 
 def span_code(n: int, m: int, k: int, gens, modulus: int | None = None) -> DenseCode:
     """Smallest cyclic code (ideal) containing the packed generators."""
-    nbits, maps, _ = ambient_maps(n, m, k, modulus)
-    return DenseCode(n, m, k, _canon(map_closure(gens, maps), nbits))
+    _, maps, _ = ambient_maps(n, m, k, modulus)
+    return DenseCode(n, m, k, _rref_tuple(map_closure(gens, maps)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,55 +232,65 @@ def _r_mul(ctx: FieldCtx, k: int, a: int, b: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _symbol_blocks(m: int, modulus: int | None, k: int):
-    """The field, and a dict symbol -> one bit block per output bit that
-    ``brute_dual`` fills as symbols turn up: one per (m, modulus, k)."""
-    return FieldCtx(m, modulus), {}
+def _form_map(n: int, m: int, k: int, modulus: int | None = None):
+    """Byte tables of b -> its k*m constraint rows, row o (bits o*nbits
+    and up) the functional v -> bit o of <b, v>: bit c*k*m + t of b is e_t
+    at coordinate c, and <e_t at c, v> = e_t * v_c.  One per ambient."""
+    ctx = FieldCtx(m, modulus)
+    step = k * m
+    nbits = 2 * n * step
+    units = []
+    for t in range(step):
+        prods = [_r_mul(ctx, k, 1 << t, 1 << s) for s in range(step)]
+        units.append(sum(((p >> o) & 1) << (o * nbits + s)
+                         for o in range(step) for s, p in enumerate(prods)))
+    return tabulate_map([u << (c * step) for c in range(2 * n) for u in units])
 
 
 def brute_dual(code: DenseCode, modulus: int | None = None) -> DenseCode:
     """Euclidean dual, via the F_2 linear system <b, v> = 0 in R.
 
-    Bit j of v lies in coordinate c = j // (k*m) at position t = j % (k*m),
-    so <b, e_j> = b_c * e_t: the constraint rows of b are assembled one
-    coordinate at a time from the products of the symbol b_c with the k*m
-    unit symbols, computed once per nonzero symbol value, field and k.
+    Each basis vector's constraint rows (one ``_form_map`` lookup) are
+    reduced on their lowest set bit and back-substituted.  For each free
+    bit f, v_f = e_f + sum(e_p : the row with low pivot p holds bit f) has
+    leading bit f and no other free bit: sorted, the canonical basis.
     """
-    k = code.k
-    step = k * code.m
-    mask = (1 << step) - 1
-    ctx, blocks = _symbol_blocks(code.m, modulus, k)
-    rows = []
-    for b in code.basis:
-        acc = [0] * step                 # functional v -> bit o of <b, v>
-        for c in range(2 * code.n):
-            bc = (b >> (c * step)) & mask
-            if not bc:
-                continue
-            blk = blocks.get(bc)
-            if blk is None:
-                prods = [_r_mul(ctx, k, bc, 1 << t) for t in range(step)]
-                blk = blocks[bc] = [
-                    sum(((p >> o) & 1) << t for t, p in enumerate(prods))
-                    for o in range(step)]
-            shift = c * step
-            for o in range(step):
-                acc[o] |= blk[o] << shift
-        rows += acc
     nbits = code.nbits
+    mask = (1 << nbits) - 1
+    tables = _form_map(code.n, code.m, code.k, modulus)
+    piv: dict[int, int] = {}                     # lowest bit -> row
+    for b in code.basis:
+        w = apply_map(tables, b)
+        while w:
+            v = w & mask
+            w >>= nbits
+            while v:
+                p = (v & -v).bit_length() - 1
+                row = piv.get(p)
+                if row is None:
+                    piv[p] = v
+                    break
+                v ^= row
+    _back_substitute(piv, low=True)
+    dual = {f: 1 << f for f in range(nbits) if f not in piv}
+    for p, row in piv.items():
+        rest = row ^ (1 << p)
+        while rest:
+            f = rest.bit_length() - 1
+            dual[f] |= 1 << p
+            rest ^= 1 << f
     return DenseCode(code.n, code.m, code.k,
-                     _canon(nullspace_bits(rows, nbits), nbits))
+                     tuple([dual[f] for f in reversed(dual)]))
 
 
 def brute_intersect(a: DenseCode, b: DenseCode) -> DenseCode:
-    """Intersection of two codes (Zassenhaus on packed rows)."""
+    """Intersection of two codes (Zassenhaus on packed rows): the reduced
+    rows with a zero upper half, which are its canonical basis."""
     nbits = a.nbits
     assert (a.n, a.m, a.k) == (b.n, b.m, b.k)
     rows = [(r << nbits) | r for r in a.basis] + [(r << nbits) for r in b.basis]
     red, _ = rref_bits(rows, 2 * nbits)
-    mask = (1 << nbits) - 1
-    inter = [r & mask for r in red if (r >> nbits) == 0 and r & mask]
-    return DenseCode(a.n, a.m, a.k, _canon(inter, nbits))
+    return DenseCode(a.n, a.m, a.k, tuple([r for r in red if not r >> nbits]))
 
 
 def brute_is_selfdual(code: DenseCode, modulus: int | None = None) -> bool:
@@ -313,13 +313,14 @@ def _all_ideals_generic(nbits: int, maps, invertible) -> list[tuple[int, ...]]:
     the collection (each unordered pair once, so the order of the list is
     the order of discovery); vectors are deduplicated by their orbit under
     the invertible maps first (same closure).  A sum of two ideals is an
-    ideal, so the pass only reduces the joined bases.
+    ideal, so the pass reduces the smaller basis into the larger ideal's
+    pivot map; if nothing survives, the sum is the larger ideal.
     """
     if nbits > AMBIENT_CAP_LOG2:
         raise TooLarge(f"ambient space has 2^{nbits} elements")
 
     seen_vec = bytearray(1 << nbits)
-    found = {(): None}
+    found: dict[tuple[int, ...], dict[int, int]] = {(): {}}  # basis -> pivots
     for v in range(1, 1 << nbits):
         if seen_vec[v]:
             continue
@@ -335,18 +336,26 @@ def _all_ideals_generic(nbits: int, maps, invertible) -> list[tuple[int, ...]]:
                     stack.append(img)
         for w in orbit:
             seen_vec[w] = 1
-        found[_canon(map_closure([v], maps), nbits)] = None
+        piv = map_closure([v], maps)
+        found[_rref_tuple(piv)] = piv
 
     # close under sums, each unordered pair once: every ideal, in the order
     # it was found, is summed with the ones found before it
-    pool = list(found)
-    for i, a in enumerate(pool):                # pool grows as it is walked
-        for b in pool[:i]:
-            s = _canon(a + b, nbits)
-            if s not in found:
-                found[s] = None
-                pool.append(s)
-    return pool
+    pool = list(found.items())
+    for i, (a, pa) in enumerate(pool):          # pool grows as it is walked
+        for b, pb in pool[:i]:
+            small, big = (b, pa) if len(a) >= len(b) else (a, pb)
+            piv = big
+            for r in small:
+                r = _reduce(piv, r)
+                if r:
+                    if piv is big:
+                        piv = dict(big)
+                    piv[r.bit_length() - 1] = r
+            if piv is not big and (s := _rref_tuple(piv)) not in found:
+                found[s] = piv
+                pool.append((s, piv))
+    return [basis for basis, _ in pool]
 
 
 def brute_all_ideals(n: int, m: int, k: int,
@@ -401,7 +410,7 @@ def ideal_members(fd, j: int, k: int, gens) -> frozenset[int]:
     if nbits > AMBIENT_CAP_LOG2:
         raise TooLarge(f"component ring has 2^{nbits} elements")
     return span_words(map_closure([pack_uelem(fd, j, k, g) for g in gens],
-                                  maps))
+                                  maps).values())
 
 
 def brute_component_ideals(fd, j: int, k: int) -> list[frozenset[int]]:

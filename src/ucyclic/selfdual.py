@@ -28,7 +28,7 @@ from .cyclotomic import FactorData, factor_data, factor_degrees
 from .errors import BadDescriptor, UnsupportedK
 from .gf import (P_ZERO, Poly, poly_add, poly_from_key, poly_key, poly_mulmod,
                  poly_scale)
-from .ideals import (IdealLabel, canonical_label, count_ideals,
+from .ideals import (IdealLabel, _require_k, canonical_label, count_ideals,
                      enumerate_ideals, exponents, ideal_generators,
                      ideal_size_log2, label_classes, validate_label)
 from .oracle import span_words
@@ -243,9 +243,11 @@ def _selfdual_lists(fd: FactorData, k: int) -> list[list]:
 
 
 def _check_k(k: int) -> None:
-    """UnsupportedK unless k >= 2, the least k with self-dual codes."""
+    """UnsupportedK unless k >= 2, the least k with self-dual codes;
+    TooLarge above ``ideals.MAX_K``."""
     if k < 2:
         raise UnsupportedK("self-duality needs k >= 2")
+    _require_k(k)
 
 
 def enumerate_selfdual(n: int, m: int, k: int,

@@ -36,6 +36,15 @@ routes the tests hold it to:
   set bit at a time and close a span by reducing each vector against the
   whole sorted basis, where ``oracle.apply_map`` looks up one byte table
   per 8 bits and ``oracle.map_closure`` reduces through a pivot map;
+* ``nullspace_bits``, ``canon``, ``brute_dual_by_blocks``,
+  ``intersect_then_canon`` and ``all_ideals_every_pair`` are the oracle's
+  routes that reduce twice: the dual as the nullspace of constraint rows
+  built one coordinate at a time, then reduced again; the intersection's
+  Zassenhaus rows reduced again; the ideal census from one vector per
+  orbit of x and y, with a canonical form of every pairwise sum, where
+  ``oracle.brute_dual``, ``oracle.brute_intersect`` and
+  ``oracle.brute_all_ideals`` read their canonical bases off one
+  elimination (the census taking its orbits under 1 + u as well);
 * ``theta_congruence_filter_full_walk`` walks all q^s digit tuples of
   F_j[u]/(u^s) and keeps those whose every slot passes the congruence,
   where ``oracle.theta_congruence_filter`` walks the passing slots only.
@@ -54,7 +63,8 @@ from ucyclic.gf import (P_ONE, P_ZERO, FieldCtx, Poly, default_modulus,
                         poly_scale, reciprocal)
 from ucyclic.gray import lee_weight, unpack_ambient
 from ucyclic.ideals import IdealLabel
-from ucyclic.oracle import span_code
+from ucyclic.oracle import (DenseCode, _r_mul, ambient_maps, apply_map,
+                            map_closure, rref_bits, span_code)
 from ucyclic.selfdual import (CyclicCode, _build_code, theta_set,
                               to_ambient_generators)
 
@@ -733,3 +743,97 @@ def theta_congruence_filter_full_walk(fd, j: int, s: int):
         if w[0] and all(good[a] for a in w):
             out.append(tuple(poly_from_key(fd.ctx, a) for a in w))
     return out
+
+
+def nullspace_bits(rows, ncols: int) -> list[int]:
+    """Basis of the right nullspace of the given bit-rows."""
+    red, pivots = rref_bits(rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = 1 << free
+        for row, p in zip(red, pivots):
+            if row & (1 << free):
+                v |= 1 << p
+        basis.append(v)
+    return basis
+
+
+def canon(rows, nbits: int) -> tuple[int, ...]:
+    """The canonical basis (RREF rows, descending) of the span of rows."""
+    return tuple(rref_bits(rows, nbits)[0])
+
+
+def brute_dual_by_blocks(code: DenseCode, modulus: int | None = None):
+    """``oracle.brute_dual`` with the constraint rows of each basis vector b
+    assembled one coordinate at a time from the products of its symbol b_c
+    with the k*m unit symbols, then a nullspace, then a second reduction."""
+    k, step = code.k, code.k * code.m
+    mask = (1 << step) - 1
+    ctx = FieldCtx(code.m, modulus)
+    blocks = {}
+    rows = []
+    for b in code.basis:
+        acc = [0] * step                 # functional v -> bit o of <b, v>
+        for c in range(2 * code.n):
+            bc = (b >> (c * step)) & mask
+            if not bc:
+                continue
+            blk = blocks.get(bc)
+            if blk is None:
+                prods = [_r_mul(ctx, k, bc, 1 << t) for t in range(step)]
+                blk = blocks[bc] = [
+                    sum(((p >> o) & 1) << t for t, p in enumerate(prods))
+                    for o in range(step)]
+            for o in range(step):
+                acc[o] |= blk[o] << (c * step)
+        rows += acc
+    nbits = code.nbits
+    return DenseCode(code.n, code.m, code.k,
+                     canon(nullspace_bits(rows, nbits), nbits))
+
+
+def intersect_then_canon(a: DenseCode, b: DenseCode) -> DenseCode:
+    """Zassenhaus on packed rows, the intersection's rows reduced again."""
+    nbits = a.nbits
+    rows = [(r << nbits) | r for r in a.basis] + [(r << nbits) for r in b.basis]
+    mask = (1 << nbits) - 1
+    inter = [r & mask for r in rref_bits(rows, 2 * nbits)[0]
+             if (r >> nbits) == 0 and r & mask]
+    return DenseCode(a.n, a.m, a.k, canon(inter, nbits))
+
+
+def all_ideals_every_pair(n: int, m: int, k: int,
+                          modulus: int | None = None) -> list[tuple[int, ...]]:
+    """The bases of ``oracle.brute_all_ideals`` in its order: the closure
+    of one vector per orbit under multiplication by x and y, then the
+    canonical form of the sum of every unordered pair, each new sum
+    appended."""
+    nbits, maps, _ = ambient_maps(n, m, k, modulus)
+    invertible = maps[::2]                          # x and y
+    seen = bytearray(1 << nbits)
+    found = {(): None}
+    for v in range(1, 1 << nbits):
+        if seen[v]:
+            continue
+        orbit, stack = {v}, [v]
+        while stack:
+            w = stack.pop()
+            for im in invertible:
+                img = apply_map(im, w)
+                if img not in orbit:
+                    orbit.add(img)
+                    stack.append(img)
+        for w in orbit:
+            seen[w] = 1
+        found[canon(map_closure([v], maps).values(), nbits)] = None
+    pool = list(found)
+    for i, a in enumerate(pool):
+        for b in pool[:i]:
+            s = canon(a + b, nbits)
+            if s not in found:
+                found[s] = None
+                pool.append(s)
+    return pool

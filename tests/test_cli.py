@@ -264,8 +264,8 @@ def verify_rows(out: str) -> list[tuple[str, str]]:
 
 VERIFY_3_1_2 = ["ideal-census j=0", "ideal-census j=1", "theta j=1 s=1",
                 "selfdual-count", "selfdual-membership", "selfdual-filter",
-                "hull-oracle", "selforth-count", "selforth-membership",
-                "gray-genmatrix"]
+                "dual-oracle", "hull-oracle", "selforth-count",
+                "selforth-membership", "gray-genmatrix"]
 
 
 def test_verify_passes(capsys):
@@ -297,6 +297,7 @@ def test_verify_skips_duality_rows_off_k2(capsys):
     assert verify_rows(out) == [
         ("PASS", "ideal-census j=0"), ("PASS", "selfdual-count"),
         ("PASS", "selfdual-membership"), ("PASS", "selfdual-filter"),
+        ("PASS", "dual-oracle"),
         ("SKIP", "hull-oracle"), ("SKIP", "selforth-count"),
         ("SKIP", "selforth-membership"), ("SKIP", "gray-genmatrix")]
     assert out.count("k = 2 only") == 4
@@ -316,6 +317,8 @@ def _shift_right_half(gm: gr.GenMatrix) -> gr.GenMatrix:
 
 
 @pytest.mark.parametrize("module,name,broken,failing", [
+    # nothing else in the package reads dual_code
+    (du, "dual_code", lambda orig: lambda code: code, ["dual-oracle"]),
     # is_self_orthogonal reads the hull, which the Gray row's Gram check
     # holds to the Gray image
     (du, "hull", lambda orig: lambda code: code,
@@ -331,7 +334,7 @@ def _shift_right_half(gm: gr.GenMatrix) -> gr.GenMatrix:
     # and no self-dual code has a component of this (a, b)
     (gr, "_BLOCKS", lambda orig: orig | {
         (1, 0): (("E", "E"), ("F", "F"), ("0", "E"))}, ["gray-genmatrix"]),
-], ids=["hull", "count_selfdual", "count_selforthogonal", "generator_matrix",
+], ids=["dual_code", "hull", "count_selfdual", "count_selforthogonal", "generator_matrix",
         "gray_blocks_1_0"])
 def test_verify_fails_on_broken_closed_form(capsys, monkeypatch, module,
                                             name, broken, failing):
@@ -483,6 +486,21 @@ def test_k_above_class_table_cap_exits_4(capsys):
     desc = json.loads(SD7) | {"k": MAX_K + 1}
     rc, out = run(capsys, "hull", "--code", json.dumps(desc))
     assert rc == 4 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["count-ideals", "--q", "2", "--k", "100000"],
+    ["count-selfdual", "--n", "3", "--m", "1", "--k", "65"],
+    ["verify", "--n", "3", "--m", "1", "--k", "65"],
+], ids=["count-ideals", "count-selfdual", "verify"])
+def test_k_above_cap_refused_before_work(capsys, argv):
+    """A k above MAX_K exits 4 with empty stdout and one error line: no
+    header, no rows, no integer too long to print."""
+    from ucyclic.ideals import MAX_K
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (rc, out) == (4, "")
+    assert err == f"error: k={argv[-1]} is above the cap of {MAX_K}\n"
 
 
 def test_k_below_one_exits_2(capsys):

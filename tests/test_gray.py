@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import ucyclic
 from literal_oracles import (circulant, generator_matrix_rows, gray_map,
-                             last_modulus, lee_distribution_by_words)
+                             last_modulus, lee_distribution_by_words,
+                             nullspace_bits)
 from ucyclic import duality as du
 from ucyclic.errors import DimensionTooLarge, MinDistOfTrivial, UnsupportedK
 from ucyclic.cyclotomic import factor_xn_minus_1
@@ -266,7 +267,7 @@ def test_weight_distribution_equals_member_census(fdata, n, m):
 
 
 def test_hull_commutes_with_gray(fdata):
-    from ucyclic.oracle import nullspace_bits, rref_bits
+    from ucyclic.oracle import rref_bits
     fd = fdata(7, 1)
     pool = list(enumerate_cyclic(7, 1, 2, fd))
     for code in random.Random(11).sample(pool, 20):

@@ -7,20 +7,22 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from literal_oracles import (apply_map_per_bit, map_closure_by_min,
+from literal_oracles import (all_ideals_every_pair, apply_map_per_bit,
+                             brute_dual_by_blocks, canon, intersect_then_canon,
+                             map_closure_by_min, nullspace_bits,
                              theta_congruence_filter_full_walk)
 
 from ucyclic import quotient as qt
 from ucyclic.errors import TooLarge
 from ucyclic.gf import FieldCtx, poly_add, poly_scale
 from ucyclic.ideals import count_ideals
-from ucyclic.oracle import (AMBIENT_CAP_LOG2, DenseCode, _canon, _r_mul,
+from ucyclic.oracle import (AMBIENT_CAP_LOG2, DenseCode, _r_mul,
                             ambient_maps, apply_map, brute_all_ideals,
                             brute_component_ideals, brute_dual,
                             brute_intersect, brute_is_selfdual,
-                            brute_is_selforthogonal, map_closure,
-                            nullspace_bits, rref_bits, span_code, span_words,
-                            tabulate_map, theta_congruence_filter)
+                            brute_is_selforthogonal, map_closure, rref_bits,
+                            span_code, span_words, tabulate_map,
+                            theta_congruence_filter)
 from ucyclic.selfdual import count_selfdual, theta_set
 
 
@@ -87,11 +89,10 @@ def test_map_closure_matches_word_bfs(n, m, k, modulus):
         gens = [sum(1 << rng.randrange(nbits)
                     for _ in range(rng.randint(1, 3)))
                 for _ in range(rng.randint(1, 2))]
-        basis = map_closure(gens, maps)
+        piv = map_closure(gens, maps)
         want = _word_closure(gens, maps, nbits)
-        assert span_words(basis) == want
-        assert len(basis) == len({r.bit_length() for r in basis})
-        assert basis == sorted(basis, reverse=True)
+        assert span_words(piv.values()) == want
+        assert all(p == r.bit_length() - 1 for p, r in piv.items())
         assert span_code(n, m, k, gens, modulus).words() == want
         sizes.add(len(want))
     assert len(sizes) > 1
@@ -114,18 +115,17 @@ def _maps_and_vectors(draw):
 @given(_maps_and_vectors())
 def test_tabled_core_matches_per_bit_core(drawn):
     """Byte tables apply a map as its per-bit images do, at every width, and
-    the pivot closure spans what the min-reduction closure spans, with
-    distinct leading bits, sorted descending."""
+    the pivot closure spans what the min-reduction closure spans, each row
+    keyed by its leading bit."""
     nbits, maps, vectors = drawn
     tabled = [tabulate_map(images) for images in maps]
     for images, tables in zip(maps, tabled):
         for v in vectors:
             assert apply_map(tables, v) == apply_map_per_bit(images, v)
-    basis = map_closure(vectors, tabled)
-    assert _canon(basis, nbits) == _canon(map_closure_by_min(vectors, maps),
-                                          nbits)
-    assert len(basis) == len({r.bit_length() for r in basis})
-    assert basis == sorted(basis, reverse=True)
+    piv = map_closure(vectors, tabled)
+    assert canon(piv.values(), nbits) == canon(
+        map_closure_by_min(vectors, maps), nbits)
+    assert all(p == r.bit_length() - 1 for p, r in piv.items())
 
 
 def test_brute_dual_hand_checked():
@@ -269,7 +269,7 @@ def _dual_by_columns(code, ctx):
                 for j in range(code.nbits)]
         rows += [sum(((val >> o) & 1) << j for j, val in enumerate(cols))
                  for o in range(code.k * code.m)]
-    return _canon(nullspace_bits(rows, code.nbits), code.nbits)
+    return canon(nullspace_bits(rows, code.nbits), code.nbits)
 
 
 # every ambient space of at most 2^12 words named here, m = 3 under 0xd
@@ -290,3 +290,48 @@ def test_brute_dual_matches_inner_products(n, m, k, modulus):
                   if not any(_inner(ctx, n, k, b, v) for b in code.basis)}
         assert dual.words() == walked
         assert code.rank + dual.rank == nbits     # |C| |C^perp| = |R|^(2n)
+
+
+# m = 3 under both irreducible cubics
+SUBSPACE_FIELDS = [(1, None), (2, None), (3, 0xb), (3, 0xd)]
+
+
+@st.composite
+def _subspace_pair(draw):
+    """An ambient R^(2n), n in {1, 3, 5} and k in 1..4, and two arbitrary
+    F_2 subspaces of it (not only ideals), as canonical bases of a few
+    vectors, some of them one symbol in one coordinate."""
+    n = draw(st.sampled_from([1, 3, 5]))
+    m, modulus = draw(st.sampled_from(SUBSPACE_FIELDS))
+    k = draw(st.integers(1, 4))
+    step = k * m
+    nbits = 2 * n * step
+    symbol = st.builds(lambda c, s: s << (c * step), st.integers(0, 2 * n - 1),
+                       st.integers(1, (1 << step) - 1))
+    vectors = st.lists(st.one_of(st.integers(0, (1 << nbits) - 1), symbol),
+                       max_size=5)
+    a, b = (DenseCode(n, m, k, canon(draw(vectors), nbits)) for _ in "ab")
+    return modulus, a, b
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_subspace_pair())
+def test_one_elimination_matches_reducing_twice(drawn):
+    """The dual and the intersection read their canonical bases off one
+    elimination, as the routes that reduce their result again find them."""
+    modulus, a, b = drawn
+    dual = brute_dual(a, modulus)
+    assert dual == brute_dual_by_blocks(a, modulus)
+    assert dual.basis == canon(dual.basis, a.nbits)
+    for other in (b, dual):
+        assert brute_intersect(a, other) == intersect_then_canon(a, other)
+
+
+@pytest.mark.parametrize("n,m,k,modulus", [
+    (3, 1, 2, None), (1, 1, 4, None), (1, 2, 2, None), (1, 1, 6, None),
+    (3, 1, 3, None), (1, 3, 2, 0xd)])
+def test_census_matches_every_pair_census(n, m, k, modulus):
+    """Skipping the sums that lie in the larger ideal loses no ideal and
+    keeps the order of discovery."""
+    assert [c.basis for c in brute_all_ideals(n, m, k, modulus)] == \
+        all_ideals_every_pair(n, m, k, modulus)
