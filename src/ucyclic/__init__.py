@@ -12,10 +12,11 @@ cross-checked against brute-force oracles (`ucyclic.oracle`,
 `ucyclic verify`) at small sizes.
 
 Layering: gf (field/polynomial arithmetic) -> cyclotomic (factorization,
-idempotents) -> quotient (component rings) -> ideals (the six-shape ideal
-taxonomy) -> selfdual (Theta sets, mates, enumeration) -> duality (duals,
-hulls, self-orthogonality, k = 2) and gray (Gray map, generator matrices,
-weight distributions), side by side -> cli.
+idempotents, the reciprocal transport) -> oracle (brute force, which reads
+only gf) -> ideals (the six-shape ideal taxonomy, unit walks) -> selfdual
+(Theta sets, mates, enumeration) -> duality (duals, hulls,
+self-orthogonality, k = 2) and gray (Gray map, generator matrices, weight
+distributions), side by side -> cli.
 """
 from __future__ import annotations
 

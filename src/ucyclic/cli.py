@@ -619,15 +619,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gray", help="binary Gray image of a described code")
     p.add_argument("--code", required=True,
                    help="JSON descriptor (inline, @file, or - for stdin)")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--genmatrix", action="store_true",
-                   help="generator matrix (default)")
+    g = p.add_mutually_exclusive_group()   # default: the generator matrix
+    g.add_argument("--grid", action="store_true",
+                   help="generator matrix as a plain-text grid, not JSON")
     g.add_argument("--weights", action="store_true",
                    help="full weight distribution")
     g.add_argument("--mindist", action="store_true",
                    help="minimum distance, by information sets")
-    p.add_argument("--grid", action="store_true",
-                   help="plain-text matrix grid instead of JSON")
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (default: UCYCLIC_THREADS, else 1)")
     p.set_defaults(func=_cmd_gray)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import gf
 from .gf import MAX_M  # noqa: F401  (the cap stays public here too)
-from .gf import (FieldCtx, Poly, P_ONE, P_X, check_modulus, poly_add,
+from .gf import (FieldCtx, Poly, P_ONE, P_X, P_ZERO, check_modulus, poly_add,
                  poly_degree, poly_divmod, poly_ext_gcd, poly_gcd, poly_key,
                  poly_mod, poly_mul, poly_mulmod, poly_powmod, poly_scale,
                  reciprocal)
@@ -62,7 +62,9 @@ class FactorData:
     The idempotents and the per-factor constants below (``f_eps``, ``x_inv``,
     ``hat_basis``, ``transport_basis``) are derived on first use and kept on
     the instance: every code built on this FactorData shares them, and
-    nothing is derived up front.
+    nothing is derived up front.  ``hat`` and ``omega_prime`` apply the
+    last two: the substitution x -> x^(-1) and the reciprocal transport
+    that pairs an ideal with its dual.
     """
 
     n: int
@@ -142,6 +144,30 @@ class FactorData:
             return tuple(poly_mulmod(self.ctx, fac, p, f)
                          for p in self.hat_basis(jm))
         return self._once("transport_basis", j, derive)
+
+    def hat(self, j: int, a: Poly) -> Poly:
+        """a(x^(-1)) reduced mod f_mate(j), for ``a`` reduced mod f_j: an
+        involution of F_{f_j} when f_j is self-reciprocal, and for a pair a
+        map of F_{f_j} onto F_{f_mate(j)}."""
+        return _combine(self.ctx, self.hat_basis(self.mate(j)), a)
+
+    def omega_prime(self, j: int, omega: tuple) -> tuple:
+        """The reciprocal transport delta_j * x^(-d_j) * omega(x^(-1)) mod
+        f_mate(j) of a unit of F_{f_j}[u]/(u^s), one u-coefficient at a
+        time: the unit of the dual label (``selfdual.mate_label``)."""
+        basis = self.transport_basis(j)
+        return tuple(_combine(self.ctx, basis, w) for w in omega)
+
+
+def _combine(ctx: FieldCtx, basis, a: Poly) -> Poly:
+    """sum a_i * basis[i]: the linear map with those basis images at a."""
+    if len(a) > len(basis):
+        raise ValueError(f"{a} is not reduced mod the factor")
+    out = P_ZERO
+    for c, p in zip(a, basis):
+        if c:
+            out = poly_add(out, poly_scale(ctx, p, c))
+    return out
 
 
 def _check_n(n: int) -> None:
@@ -229,22 +255,15 @@ def factor_xn_minus_1(n: int, m: int, modulus: int | None = None) -> FactorData:
     selfrec.sort(key=lambda f: (poly_degree(f), poly_key(ctx, f)))
     pairs.sort(key=lambda fg: (poly_degree(fg[0]), poly_key(ctx, fg[0])))
 
-    factors = [x_minus_1] + selfrec + [f for f, _ in pairs] + [g for _, g in pairs]
-    lam = 1 + len(selfrec)
-    eps = len(pairs)
-
-    delta = []
+    factors = ((x_minus_1,) + tuple(selfrec) + tuple(f for f, _ in pairs)
+               + tuple(g for _, g in pairs))
+    # delta_j = f_j(0), the leading coefficient of reciprocal(f_j)
+    fd = FactorData(n=n, m=m, ctx=ctx, factors=factors,
+                    num_selfrec=1 + len(selfrec), num_pairs=len(pairs),
+                    delta=tuple(f[0] for f in factors))
     for j, f in enumerate(factors):
-        rec = reciprocal(f)
-        dj = rec[-1]  # leading coefficient; the monic part must be the mate
-        mate_idx = j if j < lam else (j + eps if j < lam + eps else j - eps)
-        assert gf.poly_monic(ctx, rec) == factors[mate_idx]
-        delta.append(dj)
-    for j in range(lam):
-        assert delta[j] == 1, "self-reciprocal factors must satisfy rec(f) == f"
-
-    return FactorData(n=n, m=m, ctx=ctx, factors=tuple(factors),
-                      num_selfrec=lam, num_pairs=eps, delta=tuple(delta))
+        assert gf.poly_monic(ctx, reciprocal(f)) == factors[fd.mate(j)]
+    return fd
 
 
 def _split(ctx: FieldCtx, f: Poly, d: int, start: int = 0) -> list[Poly]:

@@ -26,7 +26,7 @@ nonzero constant coefficient.  In (a, b) form every row reads the same way:
 the ideal has q^(2k - a - b) elements, its unit has length b - t, and its
 dual (the annihilator under the reciprocal map, ``selfdual.mate_label``) is
 (u^(k-b) + u^(t+k-a-b) f w', u^(k-a) f), with w' the transported unit
-(``quotient.omega_prime``), so it is its own dual's shape iff a + b = k.
+(``FactorData.omega_prime``), so it is its own dual's shape iff a + b = k.
 
 :func:`label_classes` is this classification, the one place it is written
 out: a class per (kind, i, t, s) in the ranges above, with its (a, b), in
@@ -43,9 +43,8 @@ import functools
 from collections import namedtuple
 from dataclasses import dataclass
 
-from . import quotient as qt
 from .errors import TooLarge
-from .gf import P_ONE, P_ZERO, poly_degree
+from .gf import P_ONE, P_ZERO, FieldCtx, poly_degree, poly_from_key, poly_mul
 
 KINDS = ("u_pow", "u_f", "mixed_one", "mixed_two", "two_gen", "two_gen_omega")
 
@@ -116,11 +115,6 @@ def canonical_label(k: int, a: int, b: int, t: int | None = None,
     return row and IdealLabel(row.kind, row.i, t, row.s, omega)
 
 
-def omega_truncation(label: IdealLabel, k: int) -> int | None:
-    """Length of the unit expansion attached to a label, if any."""
-    return None if label.t is None else exponents(label, k)[1] - label.t
-
-
 def validate_label(label: IdealLabel, k: int, d: int | None = None) -> None:
     """Raise ValueError unless the label is canonical for nilpotency index k
     (its (kind, i, t, s) is a class of ``label_classes(k)``, its unit fits)."""
@@ -174,17 +168,28 @@ def ideal_size_log2(label: IdealLabel, m: int, d: int, k: int) -> int:
 # enumeration
 # ---------------------------------------------------------------------------
 
+def u_units(ctx: FieldCtx, d: int, s: int):
+    """Every unit of F[u]/(u^s), F = F_{2^m}[x]/(f) with deg f = d, in
+    canonical order: the mixed-radix counter (a_0, ..., a_{s-1}) of
+    coefficient keys, a_0 fastest, skipping a_0 = 0."""
+    bits = ctx.m * d
+    mask = (1 << bits) - 1
+    for w in range(1 << (bits * s)):
+        if w & mask:
+            yield tuple(poly_from_key(ctx, (w >> (bits * l)) & mask)
+                        for l in range(s))
+
+
 def enumerate_ideals(fd, j: int, k: int):
     """Yield every ideal label for component j, in a fixed documented order.
 
     Order: the classes of :func:`label_classes`, each with its unit
-    expansions in the canonical counter order of
-    :func:`ucyclic.quotient.u_units`.
+    expansions in the canonical counter order of :func:`u_units`.
     """
     _require_k(k)
-    ring = qt.field_ring(fd, j)
+    ctx, d = fd.ctx, fd.degree(j)
     for c in label_classes(k):
-        for w in (None,) if c.t is None else qt.u_units(ring, c.b - c.t):
+        for w in (None,) if c.t is None else u_units(ctx, d, c.b - c.t):
             yield IdealLabel(*c[:4], w)
 
 
@@ -192,11 +197,11 @@ def enumerate_ideals(fd, j: int, k: int):
 # generators
 # ---------------------------------------------------------------------------
 
-def ideal_generators(fd, j: int, k: int, label: IdealLabel) -> list[qt.UElem]:
+def ideal_generators(fd, j: int, k: int, label: IdealLabel) -> list[tuple]:
     """Generators as elements of K[u]/(u^k), each a k-tuple of K-elements:
-    u^i + u^t f w when the label has i, then u^s f when it has s."""
+    u^i + u^t f w when the label has i, then u^s f when it has s.  The unit
+    coefficients are reduced mod f, so f w needs no reduction mod f^2."""
     validate_label(label, k, fd.degree(j))
-    ring = qt.chain_ring(fd, j)
     f = fd.factors[j]
     i, t, s = label.i, label.t, label.s
     gens = []
@@ -206,10 +211,10 @@ def ideal_generators(fd, j: int, k: int, label: IdealLabel) -> list[qt.UElem]:
             g[i] = P_ONE
         for l, wl in enumerate(label.omega or ()):
             if wl:
-                g[t + l] = ring.mul(f, wl)
+                g[t + l] = poly_mul(fd.ctx, f, wl)
         gens.append(tuple(g))
     if s is not None:
         g = [P_ZERO] * k
-        g[s] = ring.reduce(f)
+        g[s] = f
         gens.append(tuple(g))
     return gens

@@ -10,7 +10,9 @@ monomial maps (multiply by x, by u, and by the field generator when m > 1);
 and inclusion tests are exact without materializing word sets.
 
 Only :func:`brute_all_ideals` enumerates an ambient space, and it enforces the
-hard 2^24 cap (:class:`ucyclic.errors.TooLarge`).
+hard 2^24 cap (:class:`ucyclic.errors.TooLarge`).  The module imports only
+``errors`` and ``gf``; what it needs of a factorisation it reads off the
+``FactorData`` it is handed.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from . import quotient as qt
 from .errors import TooLarge
-from .gf import (P_ZERO, FieldCtx, f2x_mod, poly_add, poly_from_key, poly_key,
-                 poly_scale)
+from .gf import (P_X, P_ZERO, FieldCtx, f2x_mod, poly_add, poly_from_key,
+                 poly_key, poly_mul, poly_mulmod, poly_powmod, poly_scale)
 
 AMBIENT_CAP_LOG2 = 24
 WORDS_CAP_LOG2 = 20
@@ -370,13 +371,13 @@ def brute_all_ideals(n: int, m: int, k: int,
 # one CRT component K_j[u]/(u^k), K_j = F_{2^m}[x]/(f_j^2)
 # ---------------------------------------------------------------------------
 
-def pack_uelem(fd, j: int, k: int, elem: qt.UElem) -> int:
+def pack_uelem(fd, j: int, k: int, elem: tuple) -> int:
     """Bit-pack a K[u]/(u^k) element (K-coefficients of degree < 2d)."""
     bits = 2 * fd.degree(j) * fd.m
     return sum(poly_key(fd.ctx, c) << (l * bits) for l, c in enumerate(elem))
 
 
-def unpack_uelem(fd, j: int, k: int, packed: int) -> qt.UElem:
+def unpack_uelem(fd, j: int, k: int, packed: int) -> tuple:
     bits = 2 * fd.degree(j) * fd.m
     mask = (1 << bits) - 1
     return tuple(poly_from_key(fd.ctx, (packed >> (l * bits)) & mask)
@@ -393,11 +394,16 @@ def _component_monomial_maps(fd, j: int, k: int):
             fd, j, k, 1 << b))) for b in range(nbits)])
 
     def derive():
-        ring = qt.chain_ring(fd, j)
-        maps = [tabulate(lambda e: tuple(ring.mul(c, (0, 1)) for c in e)),
-                tabulate(lambda e: (P_ZERO,) + e[:-1])]
+        ctx, f = fd.ctx, fd.factors[j]
+        fsq = poly_mul(ctx, f, f)
+
+        def times(a):       # multiplication by a, mod f^2
+            return tabulate(lambda e: tuple(poly_mulmod(ctx, c, a, fsq)
+                                            for c in e))
+
+        maps = [times(P_X), tabulate(lambda e: (P_ZERO,) + e[:-1])]
         if fd.m > 1:
-            maps.append(tabulate(lambda e: tuple(ring.mul(c, (2,)) for c in e)))
+            maps.append(times((2,)))
         return nbits, tuple(maps)
     return fd._once(f"monomial_maps_{k}", j, derive)
 
@@ -439,10 +445,11 @@ def theta_congruence_filter(fd, j: int, s: int):
     d = fd.degree(j)
     if d * fd.m * s > AMBIENT_CAP_LOG2:
         raise TooLarge(f"unit group of size ~2^{d * fd.m * s} too big to filter")
-    ring = qt.field_ring(fd, j)
-    xfac = ring.pow((0, 1), 2 * fd.n - d)       # x^(2n-d) reduced mod f_j
+    ctx, f = fd.ctx, fd.factors[j]
+    xfac = poly_powmod(ctx, P_X, 2 * fd.n - d, f)   # x^(2n-d) reduced mod f_j
     delta = fd.delta[j]
-    slots = [a for a in ring.elements() if not poly_add(
-        a, poly_scale(fd.ctx, ring.mul(xfac, qt.hat(fd, j, a)), delta))]
+    field = (poly_from_key(ctx, key) for key in range(1 << (fd.m * d)))
+    slots = [a for a in field if not poly_add(
+        a, poly_scale(ctx, poly_mulmod(ctx, xfac, fd.hat(j, a), f), delta))]
     units = [a for a in slots if a]
     return [w[::-1] for w in itertools.product(*[slots] * (s - 1), units)]

@@ -23,14 +23,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from . import quotient as qt
 from .cyclotomic import FactorData, factor_data, factor_degrees
 from .errors import BadDescriptor, UnsupportedK
 from .gf import (P_ZERO, Poly, poly_add, poly_from_key, poly_key, poly_mulmod,
                  poly_scale)
 from .ideals import (IdealLabel, _require_k, canonical_label, count_ideals,
                      enumerate_ideals, exponents, ideal_generators,
-                     ideal_size_log2, label_classes, validate_label)
+                     ideal_size_log2, label_classes, u_units,
+                     validate_label)
 from .oracle import span_words
 
 __all__ = [
@@ -107,7 +107,7 @@ class ThetaSet:
 
     j: int
     s: int
-    members: tuple[qt.UElem, ...]
+    members: tuple[tuple, ...]
 
     def __len__(self) -> int:
         return len(self.members)
@@ -149,7 +149,7 @@ def theta_set(fd: FactorData, j: int, s: int) -> ThetaSet:
     if s < 1:
         raise ValueError("s must be >= 1")
     if j == 0:
-        members = tuple(qt.u_units(qt.field_ring(fd, 0), s))
+        members = tuple(u_units(fd.ctx, fd.degree(0), s))
     else:
         lvl1 = theta_level_one(fd, j)
         rest = (P_ZERO,) + lvl1
@@ -190,7 +190,7 @@ def _derive_mate_label(fd: FactorData, j: int, label: IdealLabel,
     if t is None:
         return canonical_label(k, k - b, k - a)
     return canonical_label(k, k - b, k - a, t + k - a - b,
-                           qt.omega_prime(fd, j, label.omega))
+                           fd.omega_prime(j, label.omega))
 
 
 def is_self_dual(code: CyclicCode) -> bool:

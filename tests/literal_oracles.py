@@ -53,22 +53,28 @@ from __future__ import annotations
 
 import itertools
 
-from ucyclic import quotient as qt
 from ucyclic.cyclotomic import FactorData, cyclotomic_cosets, factor_xn_minus_1
 from ucyclic.errors import UnsupportedK
-from ucyclic.gf import (P_ONE, P_ZERO, FieldCtx, Poly, default_modulus,
+from ucyclic.gf import (P_ONE, P_X, P_ZERO, FieldCtx, Poly, default_modulus,
                         f2x_is_irreducible, f2x_mulmod, f2x_powmod,
                         find_generator, poly_add, poly_degree,
-                        poly_from_key, poly_key, poly_monic, poly_mulmod,
-                        poly_scale, reciprocal)
+                        poly_from_key, poly_key, poly_mod, poly_monic,
+                        poly_mul, poly_mulmod, poly_powmod, poly_scale,
+                        reciprocal)
 from ucyclic.gray import lee_weight, unpack_ambient
-from ucyclic.ideals import IdealLabel
+from ucyclic.ideals import IdealLabel, u_units
 from ucyclic.oracle import (DenseCode, _r_mul, ambient_maps, apply_map,
                             map_closure, rref_bits, span_code)
 from ucyclic.selfdual import (CyclicCode, _build_code, theta_set,
                               to_ambient_generators)
 
 _lab = IdealLabel
+
+
+def field_elements(fd, j: int) -> list[Poly]:
+    """Every element of F_{2^m}[x]/(f_j), in key order (zero first)."""
+    return [poly_from_key(fd.ctx, key)
+            for key in range(1 << (fd.m * fd.degree(j)))]
 
 
 # ---------------------------------------------------------------------------
@@ -133,18 +139,18 @@ TABLE_FIELDS = [(15, 1, None), (7, 1, None), (9, 2, None), (5, 2, None),
 def enumerate_ideals_by_loops(fd, j: int, k: int):
     """Every ideal label of component j, one hand loop per shape, in the
     order of ``ideals.enumerate_ideals`` (cross-check)."""
-    ring = qt.field_ring(fd, j)
+    ctx, d = fd.ctx, fd.degree(j)
     for i in range(k + 1):
         yield _lab("u_pow", i=i)
     for s in range(k):
         yield _lab("u_f", s=s)
     for i in range(1, k):
         for t in range(max(0, 2 * i - k), i):
-            for w in qt.u_units(ring, i - t):
+            for w in u_units(ctx, d, i - t):
                 yield _lab("mixed_one", i=i, t=t, omega=w)
     for i in range(k // 2 + 1, k):
         for t in range(0, 2 * i - k):
-            for w in qt.u_units(ring, k - i):
+            for w in u_units(ctx, d, k - i):
                 yield _lab("mixed_two", i=i, t=t, omega=w)
     for i in range(1, k):
         for s in range(i):
@@ -154,7 +160,7 @@ def enumerate_ideals_by_loops(fd, j: int, k: int):
             for t in range(0, s):
                 if i + s > k + t - 1:
                     continue
-                for w in qt.u_units(ring, s - t):
+                for w in u_units(ctx, d, s - t):
                     yield _lab("two_gen_omega", i=i, t=t, s=s, omega=w)
 
 
@@ -251,8 +257,8 @@ def size_log2_by_kind(label: IdealLabel, m: int, d: int, k: int) -> int:
 def generators_by_kind(fd, j: int, k: int, label: IdealLabel):
     """Generators as elements of K[u]/(u^k), each a k-tuple of K-elements."""
     validate_label_by_kind(label, k, fd.degree(j))
-    ring = qt.chain_ring(fd, j)
-    f = fd.factors[j]
+    ctx, f = fd.ctx, fd.factors[j]
+    fsq = poly_mul(ctx, f, f)
     kind = label.kind
 
     def u_pow_elem(i):
@@ -263,7 +269,7 @@ def generators_by_kind(fd, j: int, k: int, label: IdealLabel):
 
     def usf_elem(s):
         out = [P_ZERO] * k
-        out[s] = ring.reduce(f)
+        out[s] = poly_mod(ctx, f, fsq)
         return tuple(out)
 
     def mixed_elem(i, t, w):
@@ -271,7 +277,7 @@ def generators_by_kind(fd, j: int, k: int, label: IdealLabel):
         out[i] = P_ONE
         for l, wl in enumerate(w):
             if wl:
-                out[t + l] = poly_add(out[t + l], ring.mul(f, wl))
+                out[t + l] = poly_add(out[t + l], poly_mulmod(ctx, f, wl, fsq))
         return tuple(out)
 
     if kind == "u_pow":
@@ -288,7 +294,7 @@ def generators_by_kind(fd, j: int, k: int, label: IdealLabel):
 def mate_label_by_kind(fd, j: int, label: IdealLabel, k: int) -> IdealLabel:
     """Label of the dual ideal (annihilator, then reciprocal transport)."""
     kind, i, t, s, w = label.kind, label.i, label.t, label.s, label.omega
-    wp = qt.omega_prime(fd, j, w) if w is not None else None
+    wp = fd.omega_prime(j, w) if w is not None else None
     if kind == "u_pow":
         return _lab("u_pow", i=k - i)
     if kind == "u_f":
@@ -327,11 +333,10 @@ def _k2_pairs(fd, j):
     yield _lab("u_f", s=0), _lab("u_f", s=0)
     yield _lab("u_f", s=1), _lab("two_gen", i=1, s=0)
     yield _lab("two_gen", i=1, s=0), _lab("u_f", s=1)
-    ring = qt.field_ring(fd, j)
-    for w in ring.elements():
+    for w in field_elements(fd, j):
         if w == P_ZERO:
             continue
-        wp = qt.omega_prime(fd, j, (w,))
+        wp = fd.omega_prime(j, (w,))
         yield (_lab("mixed_one", i=1, t=0, omega=(w,)),
                _lab("mixed_one", i=1, t=0, omega=wp))
 
@@ -349,10 +354,10 @@ def _k3_pairs(fd, j):
     yield _lab("u_f", s=0), _lab("u_f", s=0)
     for s_ in (1, 2):
         yield _lab("u_f", s=s_), _lab("two_gen", i=3 - s_, s=0)
-    ring = qt.field_ring(fd, j)
-    nz = [w for w in ring.elements() if w != P_ZERO]
+    field = field_elements(fd, j)
+    nz = field[1:]
     for w in nz:
-        wp = qt.omega_prime(fd, j, (w,))
+        wp = fd.omega_prime(j, (w,))
         yield (_lab("mixed_one", i=1, t=0, omega=(w,)),
                _lab("mixed_one", i=2, t=1, omega=wp))
         yield (_lab("mixed_one", i=2, t=1, omega=(w,)),
@@ -386,21 +391,21 @@ def _k4_pairs(fd, j):
     yield _lab("u_f", s=0), _lab("u_f", s=0)
     for s_ in (1, 2, 3):
         yield _lab("u_f", s=s_), _lab("two_gen", i=4 - s_, s=0)
-    ring = qt.field_ring(fd, j)
-    nz = [w for w in ring.elements() if w != P_ZERO]
+    field = field_elements(fd, j)
+    nz = field[1:]
     for i in (1, 2, 3):
         for w in nz:
-            wp = qt.omega_prime(fd, j, (w,))
+            wp = fd.omega_prime(j, (w,))
             yield (_lab("mixed_one", i=i, t=i - 1, omega=(w,)),
                    _lab("mixed_one", i=4 - i, t=3 - i, omega=wp))
     for a0 in nz:
-        for a1 in ring.elements():
+        for a1 in field:
             th = (a0, a1)
-            thp = qt.omega_prime(fd, j, th)
+            thp = fd.omega_prime(j, th)
             yield (_lab("mixed_one", i=2, t=0, omega=th),
                    _lab("mixed_one", i=2, t=0, omega=thp))
     for w in nz:
-        wp = qt.omega_prime(fd, j, (w,))
+        wp = fd.omega_prime(j, (w,))
         yield (_lab("mixed_two", i=3, t=0, omega=(w,)),
                _lab("mixed_two", i=3, t=0, omega=wp))
         yield (_lab("mixed_two", i=3, t=1, omega=(w,)),
@@ -434,17 +439,17 @@ def _k5_pairs(fd, j):
     yield _lab("u_f", s=0), _lab("u_f", s=0)
     for s_ in (1, 2, 3, 4):
         yield _lab("u_f", s=s_), _lab("two_gen", i=5 - s_, s=0)
-    ring = qt.field_ring(fd, j)
-    nz = [w for w in ring.elements() if w != P_ZERO]
+    field = field_elements(fd, j)
+    nz = field[1:]
     for i in (1, 2, 3, 4):
         for w in nz:
-            wp = qt.omega_prime(fd, j, (w,))
+            wp = fd.omega_prime(j, (w,))
             yield (_lab("mixed_one", i=i, t=i - 1, omega=(w,)),
                    _lab("mixed_one", i=5 - i, t=4 - i, omega=wp))
     for a0 in nz:
-        for a1 in ring.elements():
+        for a1 in field:
             th = (a0, a1)
-            thp = qt.omega_prime(fd, j, th)
+            thp = fd.omega_prime(j, th)
             yield (_lab("mixed_one", i=2, t=0, omega=th),
                    _lab("mixed_one", i=3, t=1, omega=thp))
             yield (_lab("mixed_one", i=3, t=1, omega=th),
@@ -452,7 +457,7 @@ def _k5_pairs(fd, j):
             yield (_lab("mixed_two", i=3, t=0, omega=th),
                    _lab("mixed_two", i=3, t=0, omega=thp))
     for w in nz:
-        wp = qt.omega_prime(fd, j, (w,))
+        wp = fd.omega_prime(j, (w,))
         yield (_lab("mixed_two", i=4, t=0, omega=(w,)),
                _lab("mixed_two", i=4, t=0, omega=wp))
         yield (_lab("mixed_two", i=4, t=1, omega=(w,)),
@@ -731,14 +736,15 @@ def theta_congruence_filter_full_walk(fd, j: int, s: int):
     """``oracle.theta_congruence_filter`` by walking every digit tuple
     (a_0, ..., a_(s-1)) of F_j[u]/(u^s) in counter order, a_0 fastest, and
     keeping the units whose every slot passes the congruence."""
-    ring = qt.field_ring(fd, j)
-    xfac = ring.pow((0, 1), 2 * fd.n - fd.degree(j))
+    ctx, f = fd.ctx, fd.factors[j]
+    xfac = poly_powmod(ctx, P_X, 2 * fd.n - fd.degree(j), f)
     delta = fd.delta[j]
-    good = [not poly_add(a, poly_scale(fd.ctx, ring.mul(xfac, qt.hat(fd, j, a)),
-                                       delta))
-            for a in ring.elements()]
+    field = field_elements(fd, j)
+    good = [not poly_add(a, poly_scale(
+                ctx, poly_mulmod(ctx, xfac, fd.hat(j, a), f), delta))
+            for a in field]
     out = []
-    for digits in itertools.product(range(ring.size()), repeat=s):
+    for digits in itertools.product(range(len(field)), repeat=s):
         w = digits[::-1]
         if w[0] and all(good[a] for a in w):
             out.append(tuple(poly_from_key(fd.ctx, a) for a in w))

@@ -214,6 +214,17 @@ def test_gray_grid(capsys):
     assert all(len(line) == 28 and set(line) <= {"0", "1"} for line in lines)
 
 
+@pytest.mark.parametrize("flag", ["--weights", "--mindist"])
+def test_gray_grid_excludes_other_outputs(capsys, flag):
+    # one output per call: --grid is exclusive with the other two
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gray", "--code", SD7, "--grid", flag])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "not allowed with argument" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_gray_non_selfdual_falls_back(capsys):
     desc = json.dumps({
         "n": 3, "m": 1, "k": 2, "modulus": "0x3",

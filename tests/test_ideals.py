@@ -12,16 +12,14 @@ from hypothesis import strategies as st
 from literal_oracles import (TABLE_FIELDS, count_ideals_by_shape,
                              count_ideals_closed, enumerate_ideals_by_loops,
                              generators_by_kind, mate_label_by_kind,
-                             omega_truncation_by_kind, size_log2_by_kind,
-                             validate_label_by_kind)
-from ucyclic import quotient as qt
+                             size_log2_by_kind, validate_label_by_kind)
 from ucyclic.cyclotomic import factor_xn_minus_1
 from ucyclic.gf import poly_from_key
 from ucyclic.errors import TooLarge
 from ucyclic.ideals import (KINDS, MAX_K, IdealLabel, canonical_label,
                             count_ideals, enumerate_ideals, exponents,
                             ideal_generators, ideal_size_log2, label_classes,
-                            omega_truncation, validate_label)
+                            validate_label)
 from ucyclic.oracle import ideal_members, pack_uelem
 from ucyclic.selfdual import _derive_mate_label, mate_label
 
@@ -257,8 +255,6 @@ def test_exponent_route_matches_case_tables(n, m, modulus):
             for lab in _label_sample(fd, j, k):
                 assert (ideal_size_log2(lab, m, d, k)
                         == size_log2_by_kind(lab, m, d, k)), lab
-                assert (omega_truncation(lab, k)
-                        == omega_truncation_by_kind(lab, k)), lab
                 assert (ideal_generators(fd, j, k, lab)
                         == generators_by_kind(fd, j, k, lab)), lab
                 assert (_derive_mate_label(fd, j, lab, k)

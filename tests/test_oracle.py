@@ -12,10 +12,10 @@ from literal_oracles import (all_ideals_every_pair, apply_map_per_bit,
                              map_closure_by_min, nullspace_bits,
                              theta_congruence_filter_full_walk)
 
-from ucyclic import quotient as qt
 from ucyclic.errors import TooLarge
-from ucyclic.gf import FieldCtx, poly_add, poly_scale
-from ucyclic.ideals import count_ideals
+from ucyclic.gf import (P_X, FieldCtx, poly_add, poly_mulmod, poly_powmod,
+                        poly_scale)
+from ucyclic.ideals import count_ideals, u_units
 from ucyclic.oracle import (AMBIENT_CAP_LOG2, DenseCode, _r_mul,
                             ambient_maps, apply_map, brute_all_ideals,
                             brute_component_ideals, brute_dual,
@@ -205,13 +205,12 @@ def test_theta_congruence_rejects_pairs(fdata):
 def _theta_whole_units(fd, j, s):
     """Every unit of F_j[u]/(u^s), with the substitution applied to each
     coefficient of each unit (the reference for the per-element verdicts)."""
-    ring = qt.field_ring(fd, j)
-    xfac = ring.pow((0, 1), 2 * fd.n - fd.degree(j))
+    ctx, d, f = fd.ctx, fd.degree(j), fd.factors[j]
+    xfac = poly_powmod(ctx, P_X, 2 * fd.n - d, f)
     out = []
-    for w in qt.u_units(ring, s):
-        if all(not poly_add(a, poly_scale(fd.ctx,
-                                          ring.mul(xfac, qt.hat(fd, j, a)),
-                                          fd.delta[j]))
+    for w in u_units(ctx, d, s):
+        if all(not poly_add(a, poly_scale(
+                ctx, poly_mulmod(ctx, xfac, fd.hat(j, a), f), fd.delta[j]))
                for a in w):
             out.append(w)
     return out

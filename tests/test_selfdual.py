@@ -9,13 +9,13 @@ import pytest
 from literal_oracles import (TABLE_FIELDS, selfdual_component_labels_by_hand,
                              selfdual_k2_list, selfdual_k345_list)
 from ucyclic import duality as du
-from ucyclic import quotient as qt
 from ucyclic.cyclotomic import factor_degrees
 from ucyclic.errors import BadDescriptor, UnsupportedK
 from ucyclic.gf import (P_ONE, P_X, P_ZERO, f2x_is_irreducible, poly_gcd,
-                        poly_key, poly_mulmod, poly_scale)
+                        poly_key, poly_mulmod, poly_powmod, poly_scale)
 from ucyclic.ideals import ideal_generators
-from ucyclic.ideals import IdealLabel, enumerate_ideals, validate_label
+from ucyclic.ideals import (IdealLabel, enumerate_ideals, u_units,
+                            validate_label)
 from ucyclic.oracle import (brute_is_selfdual, span_code,
                             theta_congruence_filter)
 from ucyclic.selfdual import (CyclicCode, _derive_mate_label, _mate_label,
@@ -53,10 +53,9 @@ def test_theta_sizes(fdata, n, m, j, s):
 
 def test_theta_zero_component_is_all_units(fdata):
     fd = fdata(3, 2)
-    ring = qt.field_ring(fd, 0)
     for s in (1, 2, 3):
         ts = theta_set(fd, 0, s)
-        assert set(ts.members) == set(qt.u_units(ring, s))
+        assert set(ts.members) == set(u_units(fd.ctx, fd.degree(0), s))
 
 
 def test_theta_members_satisfy_fixed_point(fdata):
@@ -65,7 +64,7 @@ def test_theta_members_satisfy_fixed_point(fdata):
                          (5, 2, 1, 2)]:
         fd = fdata(n, m)
         for w in theta_set(fd, j, s):
-            assert qt.omega_prime(fd, j, w) == w
+            assert fd.omega_prime(j, w) == w
 
 
 def _extreme_moduli(m):
@@ -98,8 +97,7 @@ def test_theta_level_one_beyond_the_filter(fdata, n, m, j):
     fd = fdata(n, m)
     d, f = fd.degree(j), fd.factors[j]
     assert d * m > 24
-    ring = qt.field_ring(fd, j)
-    xfac = ring.pow(P_X, 2 * n - d)                  # x^(-d) mod f_j
+    xfac = poly_powmod(fd.ctx, P_X, 2 * n - d, f)    # x^(-d) mod f_j
     members = theta_level_one(fd, j)
     # the solutions of the congruence and 0 form an F_{2^m}-subspace of
     # size sqrt(q) (x^(-d/2) times the fixed field of the hat involution),
@@ -107,7 +105,7 @@ def test_theta_level_one_beyond_the_filter(fdata, n, m, j):
     assert len(set(members)) == len(members) == (1 << (d * m // 2)) - 1
     for w in members:
         assert len(w) <= d and poly_gcd(fd.ctx, w, f) == P_ONE
-        assert poly_scale(fd.ctx, ring.mul(xfac, qt.hat(fd, j, w)),
+        assert poly_scale(fd.ctx, poly_mulmod(fd.ctx, xfac, fd.hat(j, w), f),
                           fd.delta[j]) == w
 
 
